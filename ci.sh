@@ -59,6 +59,17 @@ mv "$PROFILE_OUT/overload.json" "$PROFILE_OUT/overload.first.json"
 cargo run --release -p eta-bench --bin report -- overload --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/overload.first.json" "$PROFILE_OUT/overload.json"
 
+echo "==> serving artifacts are fresh (full-suite chaos/serve/faults/overload"
+echo "    regenerated in the temp dir; every .json and .txt must match reports/)"
+mkdir -p "$PROFILE_OUT/fresh"
+cargo run --release -p eta-bench --bin report -- chaos serve faults overload \
+    --out "$PROFILE_OUT/fresh" >/dev/null
+for name in chaos serve faults overload; do
+    for ext in json txt; do
+        cmp "reports/$name.$ext" "$PROFILE_OUT/fresh/$name.$ext"
+    done
+done
+
 echo "==> report shard smoke run (quick suite, twice, byte-identical)"
 cargo run --release -p eta-bench --bin report -- shard --quick --out "$PROFILE_OUT" >/dev/null
 grep -q "0 mismatches" "$PROFILE_OUT/shard.txt"

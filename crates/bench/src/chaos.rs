@@ -23,8 +23,8 @@ use eta_fault::{FaultPlan, HangFault};
 use eta_graph::generate::{rmat, RmatConfig};
 use eta_graph::reference;
 use eta_serve::{
-    poisson_trace, Arrival, GraphRegistry, GroupConfig, GroupService, Request, ServeConfig,
-    ServeReport, Service, WorkloadConfig,
+    poisson_trace, Arrival, GraphRegistry, Policy, Request, ServeConfig, ServeReport, Service,
+    WorkloadConfig,
 };
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -261,14 +261,17 @@ pub fn chaos(suite: Suite) -> Artifact {
             ..workload.clone()
         },
     );
-    let group_report = GroupService::new(
-        &mut registry,
-        GroupConfig {
+    // Sharded launches serve one query each in arrival order.
+    let group_report = Service::new(
+        &registry,
+        ServeConfig {
             devices: 3,
             group_size: 2,
+            quarantine_after: 1,
             faults: group_plan,
             checkpoint_interval: 2,
-            ..GroupConfig::default()
+            policy: Policy::Fifo,
+            ..ServeConfig::default()
         },
     )
     .run(&group_trace);

@@ -49,14 +49,15 @@
 //! (demote + zero-copy) when the queue-delay EWMA crosses a threshold.
 //! The default config disables every feature and is byte-inert.
 //!
-//! With [`group::GroupService`], one query runs across a device *group*
-//! via `etagraph::sharded`: the registry admits **partitioned residency**
-//! (cached [`eta_shard::GraphPartition`]s, halo-aware footprint sizing),
-//! the scheduler acquires and releases whole groups atomically, and the
-//! fault ladder regroups — a faulted member quarantines and the query
-//! resumes from its group-shape-agnostic checkpoint on the remaining
-//! healthy members. The report's `groups` entries carry per-composition
-//! utilization and exchanged bytes per superstep.
+//! With [`ServeConfig::group_size`] `> 1`, one query runs across a device
+//! *group* via `etagraph::sharded`, through the same scheduler: a device
+//! is a group of one. Admission sizes the largest member of a cached
+//! [`eta_shard::GraphPartition`] (halo replicas included), a launch
+//! claims its members atomically, and the fault ladder regroups — a
+//! faulted member quarantines and the query resumes from its
+//! group-shape-agnostic checkpoint on the remaining healthy members. The
+//! report's `groups` entries carry per-composition utilization and
+//! exchanged bytes per superstep.
 //!
 //! Everything is deterministic: the same registry, config, and trace produce
 //! byte-identical reports, because all time is simulated and all randomness
@@ -81,7 +82,6 @@
 //! assert_eq!(report.completed as usize + report.rejections.len(), 40);
 //! ```
 
-pub mod group;
 pub mod pool;
 pub mod qos;
 pub mod registry;
@@ -90,7 +90,6 @@ pub mod request;
 pub mod sched;
 pub mod workload;
 
-pub use group::{GroupConfig, GroupService};
 pub use pool::DeviceWorker;
 pub use qos::{QosConfig, QosStats};
 pub use registry::GraphRegistry;

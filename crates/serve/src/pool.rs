@@ -49,7 +49,8 @@ pub struct DeviceWorker {
     pub free_at: Ns,
     /// Total simulated time spent serving batches (drives utilization).
     pub busy_ns: Ns,
-    /// Topology uploads performed (cold starts + re-uploads after eviction).
+    /// Topology uploads performed (cold starts + re-uploads after eviction;
+    /// a group member uploads its shard on every sharded launch).
     pub uploads: u32,
     /// Resident graphs evicted to make room.
     pub evictions: u32,

@@ -3,27 +3,17 @@
 //! The registry holds host-side CSRs; *device* residency is per-worker and
 //! managed by [`crate::pool::DeviceWorker`] (a graph may be resident on
 //! several devices at once, or none). A `BTreeMap` keeps iteration order —
-//! and therefore every downstream decision — deterministic.
-//!
-//! Beyond whole-graph lookup, the registry also admits **partitioned
-//! residency** for device-group serving: [`GraphRegistry::partition`]
-//! caches the `devices`-way [`eta_shard::GraphPartition`] of a named graph,
-//! and [`GraphRegistry::group_footprint_bytes`] sizes the *largest member's*
-//! pinned bytes — counting each shard's halo-replica label/tag/queue rows,
-//! not just its owned range, because that is what the engine allocates.
+//! and therefore every downstream decision — deterministic. Partitions for
+//! device-group serving are cached by the [`crate::sched::Service`] that
+//! uses them.
 
 use eta_graph::Csr;
-use eta_shard::GraphPartition;
-use etagraph::EtaConfig;
 use std::collections::BTreeMap;
 
 /// Host-side catalog of named graphs.
 #[derive(Debug, Default)]
 pub struct GraphRegistry {
     graphs: BTreeMap<String, Csr>,
-    /// Cached partitions, keyed by (graph name, group size). Invalidated
-    /// when the graph is replaced.
-    partitions: BTreeMap<(String, u32), GraphPartition>,
 }
 
 impl GraphRegistry {
@@ -33,47 +23,7 @@ impl GraphRegistry {
 
     /// Registers (or replaces) a graph under `name`.
     pub fn insert(&mut self, name: &str, csr: Csr) {
-        self.partitions.retain(|(n, _), _| n != name);
         self.graphs.insert(name.to_string(), csr);
-    }
-
-    /// The `devices`-way vertex-range partition of `name`, computed on
-    /// first use and cached (partitioning walks every edge). `None` when
-    /// the graph is not registered.
-    pub fn partition(&mut self, name: &str, devices: u32) -> Option<&GraphPartition> {
-        let csr = self.graphs.get(name)?;
-        let key = (name.to_string(), devices);
-        if !self.partitions.contains_key(&key) {
-            let part = GraphPartition::vertex_range(csr, devices);
-            self.partitions.insert(key.clone(), part);
-        }
-        self.partitions.get(&key)
-    }
-
-    /// Explicit device bytes the *largest* member of a `devices`-way group
-    /// pins while serving `name`: the max over shards of the shard's full
-    /// footprint. Each shard allocates labels, tags and queues over its
-    /// **local** vertex space — owned range plus replicated halo rows — so
-    /// admission must size that, not `owned/devices`: a cut with a large
-    /// halo can make every member strictly bigger than an even split of the
-    /// whole graph, and an owned-range check would over-admit exactly those
-    /// partitions (the group then OOMs mid-flight instead of rejecting
-    /// upfront). `None` when the graph is not registered.
-    pub fn group_footprint_bytes(
-        &mut self,
-        name: &str,
-        devices: u32,
-        cfg: &EtaConfig,
-    ) -> Option<u64> {
-        let explicit = cfg.transfer.topology_is_explicit();
-        let k = cfg.k;
-        self.partition(name, devices).map(|p| {
-            p.shards
-                .iter()
-                .map(|s| s.footprint_bytes(k, explicit))
-                .max()
-                .unwrap_or(0)
-        })
     }
 
     pub fn get(&self, name: &str) -> Option<&Csr> {
@@ -98,41 +48,6 @@ impl GraphRegistry {
 mod tests {
     use super::*;
     use eta_graph::generate::{rmat, RmatConfig};
-
-    #[test]
-    fn partitions_are_cached_and_invalidated_on_replace() {
-        let mut reg = GraphRegistry::new();
-        reg.insert("g", rmat(&RmatConfig::paper(9, 3_000, 1)));
-        let cuts = reg.partition("g", 2).unwrap().cuts.clone();
-        assert_eq!(reg.partition("g", 2).unwrap().cuts, cuts, "cache hit");
-        assert!(reg.partition("missing", 2).is_none());
-        // Replacing the graph drops its cached partitions.
-        reg.insert("g", rmat(&RmatConfig::paper(8, 1_500, 2)));
-        let fresh = reg.partition("g", 2).unwrap();
-        assert_eq!(fresh.n as usize, reg.get("g").unwrap().n());
-    }
-
-    #[test]
-    fn group_footprint_counts_halo_replicas() {
-        use etagraph::EtaConfig;
-        let mut reg = GraphRegistry::new();
-        reg.insert("g", rmat(&RmatConfig::paper(10, 12_000, 3)));
-        let cfg = EtaConfig::paper();
-        let fp = reg.group_footprint_bytes("g", 2, &cfg).unwrap();
-        let part = reg.partition("g", 2).unwrap();
-        assert!(part.halo_total() > 0, "an rmat cut has cross edges");
-        // The admitted size is the max *local* footprint; any shard with a
-        // non-empty halo is strictly bigger than its owned range alone.
-        let explicit = cfg.transfer.topology_is_explicit();
-        let max_local = part
-            .shards
-            .iter()
-            .map(|s| s.footprint_bytes(cfg.k, explicit))
-            .max()
-            .unwrap();
-        assert_eq!(fp, max_local);
-        assert!(reg.group_footprint_bytes("missing", 2, &cfg).is_none());
-    }
 
     #[test]
     fn insert_get_and_sorted_names() {

@@ -152,8 +152,8 @@ pub struct ServeReport {
     /// traversal work the ladder did *not* have to redo.
     pub work_saved_iterations: u64,
     /// Device-group accounting, one entry per group composition used.
-    /// Empty (and absent from the serialization) for single-device
-    /// services, so pre-group reports stay byte-identical.
+    /// Empty (and absent from the serialization) when `group_size` is 1,
+    /// so pre-group reports stay byte-identical.
     #[serde(skip_serializing_if = "Vec::is_empty")]
     pub groups: Vec<GroupStats>,
     /// Overload-control accounting; `None` whenever every

@@ -9,23 +9,34 @@
 //! (one topology read serves all of them), and places the batch on the
 //! lowest-numbered idle device. Ties everywhere break on request id or
 //! device id, so a trace replays to byte-identical reports.
+//!
+//! A device is a group of one. With [`ServeConfig::group_size`] `> 1` each
+//! launch instead claims that many idle devices at once and runs a single
+//! query across them with [`etagraph::sharded`] over a cached
+//! [`GraphPartition`]; admission then sizes the largest member's footprint,
+//! halo replicas included. Only the launch step differs by group size: the
+//! queue, the timeout sweep, qos, the recovery ladder and the report are
+//! one code path for every group size, fresh or resumed.
 
 use crate::pool::DeviceWorker;
 use crate::qos::{BrownoutTransition, QosConfig, QosState};
 use crate::registry::GraphRegistry;
 use crate::report::{
-    BatchRecord, DeviceStats, FaultEvent, QuarantineRecord, RequestRecord, ServeReport,
+    BatchRecord, DeviceStats, FaultEvent, GroupStats, QuarantineRecord, RequestRecord, ServeReport,
 };
 use crate::request::{RejectReason, Rejection, Request};
-use eta_ckpt::{digest_words, CkptSink, CkptStore};
+use eta_ckpt::{digest_words, Checkpoint, CkptCtl, CkptSink, CkptStore};
 use eta_fault::{DeviceFault, FaultPlan};
 use eta_graph::{reference, Csr};
-use eta_mem::Ns;
+use eta_mem::{Ns, PeerFabric};
 use eta_prof::{Profile, Profiler, Track};
-use eta_sim::GpuConfig;
+use eta_shard::GraphPartition;
+use eta_sim::{Device, GpuConfig};
 use etagraph::multi_bfs::MAX_BATCH;
-use etagraph::{EtaConfig, QueryError, TransferMode};
+use etagraph::sharded::run_sharded_ckpt;
+use etagraph::{Algorithm, EtaConfig, QueryError, TransferMode};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Dispatch-order policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -51,6 +62,12 @@ impl Policy {
 pub struct ServeConfig {
     /// Simulated devices in the pool.
     pub devices: usize,
+    /// Devices per launch (1..=`devices`). A group of one runs batched
+    /// multi-BFS on a device that keeps graphs resident; a larger group
+    /// runs one query at a time, sharded across fresh member devices (the
+    /// fault plan re-arms on every launch). A resumed query regroups on as
+    /// many healthy idle members as exist, up to this size.
+    pub group_size: usize,
     /// Configuration each device is built with.
     pub gpu: GpuConfig,
     /// Engine configuration (K, SMP, transfer mode) used for every batch.
@@ -58,7 +75,8 @@ pub struct ServeConfig {
     /// Bounded queue size; arrivals beyond it are rejected (backpressure).
     pub queue_capacity: usize,
     /// Max same-graph requests coalesced per launch (1 = no batching,
-    /// up to [`MAX_BATCH`]).
+    /// up to [`MAX_BATCH`]). Sharded launches take a single source, so
+    /// groups of more than one device always run batches of one.
     pub max_batch: usize,
     pub policy: Policy,
     /// Device-fault injection plan, installed per device at construction.
@@ -80,8 +98,8 @@ pub struct ServeConfig {
     /// if the checkpoint machinery did not exist). With an interval, rung
     /// 0 of the recovery ladder becomes *resume-from-checkpoint*: a
     /// faulted batch restarts from its last snapshot after the backoff,
-    /// on the same device (a re-probe) when it is dispatchable again, or
-    /// migrated to the lowest-numbered healthy device otherwise.
+    /// on the same devices (a re-probe) when they are dispatchable again,
+    /// or migrated to the lowest-numbered healthy devices otherwise.
     pub checkpoint_interval: u32,
     /// Overload control ([`crate::qos`]): admission by deadline
     /// feasibility, worst-first shedding, tenant fair share, a retry
@@ -95,6 +113,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             devices: 1,
+            group_size: 1,
             gpu: GpuConfig::default_preset(),
             eta: EtaConfig::paper(),
             queue_capacity: 256,
@@ -140,10 +159,74 @@ struct ResumableBatch {
     riders: Vec<(usize, Queued)>,
     /// Key of the parked snapshot in the scheduler's checkpoint store.
     ckpt_key: u64,
-    /// Device the snapshot was taken on (preferred for the re-probe).
-    from_device: usize,
+    /// Devices the snapshot was taken on (preferred for the re-probe).
+    from: Vec<usize>,
     /// Backoff gate, like [`Queued::not_before`].
     not_before: Ns,
+}
+
+/// One launch's worth of work, fresh or resumed.
+struct Job {
+    graph: String,
+    sources: Vec<u32>,
+    /// Riders as (slot into `sources`, queue entry).
+    riders: Vec<(usize, Queued)>,
+    /// Rung 0: the snapshot to resume from and the devices that took it.
+    resume: Option<(Checkpoint, Vec<usize>)>,
+    /// Brownout: run in zero-copy mode (best-effort riders only).
+    degrade: bool,
+}
+
+/// What a successful launch produced, on the service clock.
+struct Launched {
+    /// Per-source levels, indexed like the job's `sources`.
+    levels: Vec<Vec<u32>>,
+    /// When the launch's setup (residency upload) finished.
+    ready: Ns,
+    total_ns: Ns,
+    kernel_ns: Ns,
+    /// Sharded launches only: (peer-fabric bytes, supersteps).
+    exchange: Option<(u64, u64)>,
+}
+
+/// Why a launch did not produce an answer.
+enum LaunchError {
+    /// A member device faulted; `fault.at_ns` is on the service clock.
+    Fault { member: usize, fault: DeviceFault },
+    /// The devices could not hold the graph.
+    Denied,
+    /// The snapshot did not validate against the graph.
+    Stale,
+}
+
+impl LaunchError {
+    /// Maps an engine error raised on `member`, whose device clock started
+    /// at `offset` on the service clock.
+    fn of(e: QueryError, member: usize, offset: Ns) -> Self {
+        match e {
+            QueryError::DeviceFault(f) => LaunchError::Fault {
+                member,
+                fault: DeviceFault {
+                    at_ns: f.at_ns + offset,
+                    ..f
+                },
+            },
+            QueryError::Mem(_) => LaunchError::Denied,
+            QueryError::Checkpoint(_) => LaunchError::Stale,
+            QueryError::SourceOutOfRange { .. } => {
+                unreachable!("sources validated at admission: {e}")
+            }
+        }
+    }
+}
+
+/// Per-composition accumulation for [`GroupStats`].
+#[derive(Default)]
+struct GroupAccum {
+    queries: u32,
+    busy_ns: Ns,
+    exchanged_bytes: u64,
+    supersteps: u64,
 }
 
 /// Mutable per-run scheduler state, bundled so the dispatch paths share
@@ -157,6 +240,8 @@ struct RunState {
     batches: Vec<BatchRecord>,
     fault_events: Vec<FaultEvent>,
     quarantines: Vec<QuarantineRecord>,
+    /// Sharded launches, keyed by member composition.
+    groups: BTreeMap<Vec<u32>, GroupAccum>,
     checkpoints: u32,
     resumes: u32,
     migrations: u32,
@@ -175,6 +260,7 @@ impl RunState {
             batches: Vec::new(),
             fault_events: Vec::new(),
             quarantines: Vec::new(),
+            groups: BTreeMap::new(),
             checkpoints: 0,
             resumes: 0,
             migrations: 0,
@@ -184,11 +270,74 @@ impl RunState {
     }
 }
 
+/// `(graph, devices) → GraphPartition`, computed on first use
+/// (partitioning walks every edge). The service borrows its registry
+/// immutably, so a cached partition can never go stale under it.
+#[derive(Default)]
+struct Partitions(BTreeMap<(String, u32), GraphPartition>);
+
+impl Partitions {
+    /// The `devices`-way vertex-range partition of `name`; `None` when the
+    /// graph is not registered.
+    fn get(
+        &mut self,
+        registry: &GraphRegistry,
+        name: &str,
+        devices: u32,
+    ) -> Option<&GraphPartition> {
+        let csr = registry.get(name)?;
+        Some(
+            self.0
+                .entry((name.to_string(), devices))
+                .or_insert_with(|| GraphPartition::vertex_range(csr, devices)),
+        )
+    }
+
+    /// Explicit device bytes the *largest* member of a `devices`-way group
+    /// pins while serving `name`: the max over shards of the shard's full
+    /// footprint. Each shard allocates labels, tags and queues over its
+    /// **local** vertex space — owned range plus replicated halo rows — so
+    /// admission must size that, not `owned/devices`: a cut with a large
+    /// halo can make every member strictly bigger than an even split of the
+    /// whole graph, and an owned-range check would over-admit exactly those
+    /// partitions (the group then OOMs mid-flight instead of rejecting
+    /// upfront). `None` when the graph is not registered.
+    fn max_footprint_bytes(
+        &mut self,
+        registry: &GraphRegistry,
+        name: &str,
+        devices: u32,
+        cfg: &EtaConfig,
+    ) -> Option<u64> {
+        let explicit = cfg.transfer.topology_is_explicit();
+        self.get(registry, name, devices).map(|p| {
+            p.shards
+                .iter()
+                .map(|s| s.footprint_bytes(cfg.k, explicit))
+                .max()
+                .unwrap_or(0)
+        })
+    }
+}
+
+/// Up to `count` of the `idle` devices: those in `prefer` first (a resumed
+/// batch re-probes the devices that took its snapshot), then the
+/// lowest-numbered. Returned ascending.
+fn pick(idle: &[usize], prefer: &[usize], count: usize) -> Vec<usize> {
+    let (mut ids, rest): (Vec<usize>, Vec<usize>) =
+        idle.iter().copied().partition(|i| prefer.contains(i));
+    ids.extend(rest);
+    ids.truncate(count);
+    ids.sort_unstable();
+    ids
+}
+
 /// The running service: registry + device pool + scheduler state.
 pub struct Service<'r> {
     registry: &'r GraphRegistry,
     cfg: ServeConfig,
     workers: Vec<DeviceWorker>,
+    partitions: Partitions,
     /// Scheduler-side `eta-prof` events (queue/batch/admission); follows
     /// `cfg.gpu.profiling` like the per-device profilers do.
     prof: Profiler,
@@ -196,7 +345,10 @@ pub struct Service<'r> {
 
 impl<'r> Service<'r> {
     pub fn new(registry: &'r GraphRegistry, cfg: ServeConfig) -> Self {
-        assert!(cfg.devices >= 1, "need at least one device");
+        assert!(
+            (1..=cfg.devices).contains(&cfg.group_size),
+            "group_size must be 1..=devices"
+        );
         assert!(
             (1..=MAX_BATCH).contains(&cfg.max_batch),
             "max_batch must be 1..={MAX_BATCH}"
@@ -213,11 +365,13 @@ impl<'r> Service<'r> {
             registry,
             cfg,
             workers,
+            partitions: Partitions::default(),
             prof,
         }
     }
 
     /// The device pool, for post-run inspection (e.g. sanitizer reports).
+    /// A group member's device is the one of its most recent launch.
     pub fn workers(&self) -> &[DeviceWorker] {
         &self.workers
     }
@@ -250,19 +404,36 @@ impl<'r> Service<'r> {
                 self.admit(&trace[next], now, &mut st);
                 next += 1;
             }
-            let worker_free = self
+            let idle: Vec<usize> = self
                 .workers
                 .iter()
-                .any(|w| w.free_at <= now && w.quarantined_until <= now);
+                .filter(|w| w.free_at <= now && w.quarantined_until <= now)
+                .map(|w| w.id)
+                .collect();
             // Parked batches resume before fresh dispatch: their riders are
             // the oldest work in the system and their snapshots embody
-            // iterations already paid for.
-            if worker_free && st.resumables.iter().any(|r| r.not_before <= now) {
-                self.dispatch_resume(now, &mut st);
+            // iterations already paid for. They regroup on whatever healthy
+            // members are idle. Deterministic pick: earliest gate, then
+            // lowest surviving rider id (rider ids are unique across the
+            // whole system, so this total order has no ties).
+            let resumable = st
+                .resumables
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.not_before <= now)
+                .min_by_key(|(_, r)| {
+                    let min_id = r.riders.iter().map(|(_, q)| q.req.id).min();
+                    (r.not_before, min_id.unwrap_or(u32::MAX))
+                })
+                .map(|(i, _)| i);
+            if let Some(i) = resumable.filter(|_| !idle.is_empty()) {
+                let rb = st.resumables.remove(i);
+                self.dispatch_resume(now, &idle, rb, &mut st);
                 continue;
             }
-            if worker_free && st.queue.iter().any(|q| q.not_before <= now) {
-                self.dispatch(now, &mut st);
+            // A fresh launch needs a whole group.
+            if idle.len() >= self.cfg.group_size && st.queue.iter().any(|q| q.not_before <= now) {
+                self.dispatch(now, &idle, &mut st);
                 continue;
             }
             // Nothing dispatchable: advance to the next event.
@@ -331,10 +502,23 @@ impl<'r> Service<'r> {
             return self.reject(req.id, RejectReason::SourceOutOfRange, now, st);
         }
         // A graph whose footprint exceeds the device even when it is the
-        // sole tenant can never be served; refuse it upfront rather than
-        // letting it evict everyone else and still fail.
+        // sole tenant (for a group: the largest member's shard) can never
+        // be served; refuse it upfront rather than letting it evict
+        // everyone else and still fail.
         let capacity = self.workers[0].dev.mem.capacity_bytes();
-        if DeviceWorker::footprint_bytes(csr, &self.cfg.eta) > capacity {
+        let footprint = if self.cfg.group_size > 1 {
+            self.partitions
+                .max_footprint_bytes(
+                    self.registry,
+                    &req.graph,
+                    self.cfg.group_size as u32,
+                    &self.cfg.eta,
+                )
+                .unwrap_or(u64::MAX)
+        } else {
+            DeviceWorker::footprint_bytes(csr, &self.cfg.eta)
+        };
+        if footprint > capacity {
             return self.reject(req.id, RejectReason::AdmissionDenied, now, st);
         }
         let est_ns = st.qos.cost.estimate(&req.graph, csr, &self.cfg.eta);
@@ -462,44 +646,25 @@ impl<'r> Service<'r> {
         }
     }
 
-    /// One dispatch decision at time `now`: drop expired requests, order
-    /// the queue by policy, coalesce the head's graph-mates into a batch,
-    /// and run it on the lowest-numbered idle (and not quarantined) device.
-    ///
-    /// A batch that fails with [`QueryError::DeviceFault`] walks the
-    /// recovery ladder: each rider is re-queued with exponential backoff
-    /// until `max_retries`, after which the CPU reference answers it with
-    /// `degraded: true`. The faulting device accrues consecutive-fault
-    /// strikes and is quarantined at `quarantine_after`.
-    fn dispatch(&mut self, now: Ns, st: &mut RunState) {
-        let prof = &mut self.prof;
-        let rejections = &mut st.rejections;
+    /// One fresh dispatch decision at time `now`, with at least a group's
+    /// worth of `idle` devices: drop expired requests, order the queue by
+    /// policy, coalesce the head's graph-mates into a batch, and launch it
+    /// on the lowest-numbered idle devices.
+    fn dispatch(&mut self, now: Ns, idle: &[usize], st: &mut RunState) {
         // Timeout semantics are inclusive at the boundary tick: a request
         // whose wait has *reached* its limit is already too old to serve
         // (so `timeout_ns: Some(0)` never dispatches, even at its own
         // arrival tick).
-        st.queue.retain(|q| match q.req.timeout_ns {
-            Some(limit) if now - q.req.arrival_ns >= limit => {
-                if prof.is_enabled() {
-                    prof.instant(
-                        Track::Sched,
-                        "reject",
-                        now,
-                        vec![
-                            ("id", q.req.id.into()),
-                            ("reason", RejectReason::TimedOut.name().into()),
-                        ],
-                    );
-                }
-                rejections.push(Rejection {
-                    id: q.req.id,
-                    reason: RejectReason::TimedOut,
-                    at_ns: now,
-                });
-                false
-            }
-            _ => true,
-        });
+        let (expired, live): (Vec<Queued>, Vec<Queued>) =
+            std::mem::take(&mut st.queue).into_iter().partition(|q| {
+                q.req
+                    .timeout_ns
+                    .is_some_and(|limit| now - q.req.arrival_ns >= limit)
+            });
+        st.queue = live;
+        for q in expired {
+            self.reject(q.req.id, RejectReason::TimedOut, now, st);
+        }
         // Brownout state is sampled once per dispatch decision; transitions
         // observed below take effect at the *next* dispatch (hysteresis by
         // construction — one decision is never half-degraded).
@@ -539,7 +704,11 @@ impl<'r> Service<'r> {
         let degrade = brownout && head.req.deadline_ns.is_none();
         let head_wait = now - head.req.arrival_ns;
         let mut batch: Vec<Queued> = Vec::new();
-        let max_batch = self.cfg.max_batch;
+        let max_batch = if self.cfg.group_size > 1 {
+            1
+        } else {
+            self.cfg.max_batch
+        };
         st.queue.retain(|q| {
             if batch.len() < max_batch
                 && q.req.graph == graph
@@ -575,70 +744,160 @@ impl<'r> Service<'r> {
                 _ => {}
             }
         }
-        let widx = self
-            .workers
+        let members = pick(idle, &[], self.cfg.group_size);
+        let job = Job {
+            graph,
+            sources: batch.iter().map(|q| q.req.source).collect(),
+            riders: batch.into_iter().enumerate().collect(),
+            resume: None,
+            degrade,
+        };
+        self.execute(now, &members, job, st);
+    }
+
+    /// Rung 0 of the recovery ladder: relaunch a faulted batch from its
+    /// parked snapshot. The devices that took the snapshot are preferred
+    /// once its backoff has passed (a re-probe); when they are busy or
+    /// quarantined the batch migrates to the lowest-numbered healthy
+    /// devices — a group regroups on as many as are idle, up to its size,
+    /// since snapshots are group-shape-agnostic host state.
+    fn dispatch_resume(&mut self, now: Ns, idle: &[usize], rb: ResumableBatch, st: &mut RunState) {
+        let Some(ck) = st.store.take(rb.ckpt_key) else {
+            // Defensive: a missing snapshot demotes the riders to ordinary
+            // retries (their backoff gates have already passed).
+            st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
+            return;
+        };
+        let members = pick(idle, &rb.from, self.cfg.group_size.min(idle.len()));
+        let job = Job {
+            graph: rb.graph,
+            sources: rb.sources,
+            riders: rb.riders,
+            resume: Some((ck, rb.from)),
+            degrade: false,
+        };
+        self.execute(now, &members, job, st);
+    }
+
+    /// The only step that differs by group size. A group of one makes the
+    /// graph resident on its device (uploading and evicting as needed) and
+    /// runs a batched multi-BFS from the end of that setup. A larger group
+    /// gets fresh member devices with the fault plan installed, so a fault
+    /// window at `[0, end)` re-arms on every launch and recovery must come
+    /// from regrouping rather than from waiting it out; the single source
+    /// runs sharded over the cached partition from `now`.
+    fn launch(
+        &mut self,
+        members: &[usize],
+        job: &Job,
+        csr: &Csr,
+        now: Ns,
+        sink: &mut CkptSink,
+    ) -> Result<Launched, LaunchError> {
+        let (graph, sources) = (job.graph.as_str(), job.sources.as_slice());
+        let resume = job.resume.as_ref().map(|(ck, _)| ck);
+        let eta = &EtaConfig {
+            transfer: if job.degrade {
+                TransferMode::ZeroCopy
+            } else {
+                self.cfg.eta.transfer
+            },
+            ..self.cfg.eta
+        };
+        if self.cfg.group_size == 1 {
+            let worker = &mut self.workers[members[0]];
+            let ready = worker
+                .ensure_resident(graph, csr, eta, now)
+                .map_err(|_| LaunchError::Denied)?;
+            worker.pin(graph);
+            let result = worker.run_batch_ckpt(graph, sources, eta, ready, sink, resume);
+            worker.unpin(graph);
+            let r = result.map_err(|e| LaunchError::of(e, members[0], 0))?;
+            return Ok(Launched {
+                levels: r.levels,
+                ready,
+                total_ns: r.total_ns,
+                kernel_ns: r.kernel_ns,
+                exchange: None,
+            });
+        }
+        let devices = u32::try_from(members.len()).unwrap_or(u32::MAX);
+        let Some(part) = self.partitions.get(self.registry, graph, devices) else {
+            return Err(LaunchError::Denied);
+        };
+        let mut devs: Vec<Device> = members
             .iter()
-            .position(|w| w.free_at <= now && w.quarantined_until <= now)
-            .expect("dispatch requires an idle worker");
-        let worker = &mut self.workers[widx];
+            .map(|&i| {
+                let mut d = Device::new(self.cfg.gpu);
+                d.install_faults(&self.cfg.faults, i as u32);
+                d
+            })
+            .collect();
+        let digest = csr.digest();
+        let ctl = match resume {
+            Some(ck) => CkptCtl::resuming(sink, ck, digest),
+            None => CkptCtl::with_sink(sink, digest),
+        };
+        let mut fabric = PeerFabric::nvlink(devices);
+        let result = run_sharded_ckpt(
+            &mut devs,
+            &mut fabric,
+            part,
+            sources[0],
+            Algorithm::Bfs,
+            eta,
+            ctl,
+        );
+        for (d, &i) in devs.into_iter().zip(members) {
+            self.workers[i].dev = d;
+            self.workers[i].uploads += 1;
+        }
+        let r = result.map_err(|e| LaunchError::of(e.error, members[e.shard as usize], now))?;
+        Ok(Launched {
+            levels: vec![r.labels],
+            ready: now,
+            total_ns: r.total_ns,
+            kernel_ns: r.kernel_ns,
+            exchange: Some((r.exchanged_bytes, r.supersteps as u64)),
+        })
+    }
+
+    /// Launches `job` on `members` and settles the outcome. Acquisition is
+    /// atomic: every member's clock advances to the same completion (or
+    /// fault) time before the next scheduling decision.
+    ///
+    /// A launch that fails with a device fault walks the recovery ladder:
+    /// each rider parks with the newest snapshot (rung 0) or re-queues
+    /// with exponential backoff (rung 1) until `max_retries` or the qos
+    /// retry budget runs out, after which the CPU reference answers it
+    /// with `degraded: true`. The faulting member accrues
+    /// consecutive-fault strikes and is quarantined at `quarantine_after`.
+    fn execute(&mut self, now: Ns, members: &[usize], job: Job, st: &mut RunState) {
+        let graph = job.graph.clone();
         let csr = self.registry.get(&graph).expect("validated at admission");
-        let run_cfg = if degrade {
-            EtaConfig {
-                transfer: TransferMode::ZeroCopy,
-                ..self.cfg.eta
-            }
-        } else {
-            self.cfg.eta
-        };
-        let cfg = &run_cfg;
-        let ready = match worker.ensure_resident(&graph, csr, cfg, now) {
-            Ok(t) => t,
-            Err(_) => {
-                // The pool could not make room (e.g. memory fragmentation
-                // across co-resident tenants). Refuse this batch; the rest
-                // of the queue keeps flowing.
-                for q in &batch {
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Sched,
-                            "reject",
-                            now,
-                            vec![
-                                ("id", q.req.id.into()),
-                                ("reason", RejectReason::AdmissionDenied.name().into()),
-                            ],
-                        );
-                    }
-                    st.rejections.push(Rejection {
-                        id: q.req.id,
-                        reason: RejectReason::AdmissionDenied,
-                        at_ns: now,
-                    });
-                }
-                return;
-            }
-        };
-        worker.pin(&graph);
-        let sources: Vec<u32> = batch.iter().map(|q| q.req.source).collect();
         let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let result = if self.cfg.checkpoint_interval == 0 {
-            worker.run_batch(&graph, &sources, cfg, ready)
-        } else {
-            worker.run_batch_ckpt(&graph, &sources, cfg, ready, &mut sink, None)
-        };
-        worker.unpin(&graph);
+        let outcome = self.launch(members, &job, csr, now, &mut sink);
         st.checkpoints += sink.taken;
-        let result = match result {
-            Ok(r) => r,
-            Err(QueryError::DeviceFault(fault)) => {
-                let fail_at = self.note_fault(widx, fault, now, st);
-                let device = widx as u32;
-                // Rung 0: with a snapshot in hand, surviving riders park as
-                // a resumable batch instead of restarting from scratch.
-                let parked = sink.take();
+        let Job {
+            sources,
+            riders: batch,
+            resume,
+            degrade,
+            ..
+        } = job;
+        let out = match outcome {
+            Ok(out) => out,
+            Err(LaunchError::Fault { member, fault }) => {
+                let fail_at = self.note_fault(members, member, fault, now, st);
+                let device = member as u32;
+                // Progress is never thrown away: a snapshot taken during
+                // this attempt supersedes the one it resumed from;
+                // otherwise the old snapshot is re-parked — the iterations
+                // it saved are still saved.
+                let parked = sink.take().or(resume.map(|(ck, _)| ck));
                 let mut riders: Vec<(usize, Queued)> = Vec::new();
                 let mut min_retries = u32::MAX;
-                for (slot, q) in batch.into_iter().enumerate() {
+                for (slot, q) in batch {
                     if q.retries >= self.cfg.max_retries {
                         self.cpu_fallback(&q, csr, now, fail_at, device, st);
                     } else if !st.qos.retry_try_take(&self.cfg.qos, fail_at) {
@@ -689,73 +948,120 @@ impl<'r> Service<'r> {
                         });
                     }
                 }
-                if let Some(ck) = parked {
-                    if !riders.is_empty() {
-                        let delay = self.cfg.backoff_base_ns << min_retries;
-                        let not_before = (fail_at + delay).max(now + 1);
-                        for (_, q) in &mut riders {
-                            q.not_before = not_before;
-                        }
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Ckpt,
-                                "park",
-                                fail_at,
-                                vec![
-                                    ("device", device.into()),
-                                    ("iteration", ck.iteration.into()),
-                                    ("riders", riders.len().into()),
-                                ],
-                            );
-                        }
-                        let ckpt_key = st.store.put(ck);
-                        st.resumables.push(ResumableBatch {
-                            graph,
-                            sources,
-                            riders,
-                            ckpt_key,
-                            from_device: widx,
-                            not_before,
-                        });
+                // With every rider already answered by the CPU reference,
+                // the snapshot has no one left to serve and is dropped.
+                if let (Some(ck), false) = (parked, riders.is_empty()) {
+                    let delay = self.cfg.backoff_base_ns << min_retries;
+                    let not_before = (fail_at + delay).max(now + 1);
+                    for (_, q) in &mut riders {
+                        q.not_before = not_before;
                     }
-                    // Every rider already exited to the CPU reference: the
-                    // snapshot has no one left to serve and is dropped.
+                    if self.prof.is_enabled() {
+                        self.prof.instant(
+                            Track::Ckpt,
+                            "park",
+                            fail_at,
+                            vec![
+                                ("device", device.into()),
+                                ("iteration", ck.iteration.into()),
+                                ("riders", riders.len().into()),
+                            ],
+                        );
+                    }
+                    let ckpt_key = st.store.put(ck);
+                    st.resumables.push(ResumableBatch {
+                        graph,
+                        sources,
+                        riders,
+                        ckpt_key,
+                        from: members.to_vec(),
+                        not_before,
+                    });
                 }
                 return;
             }
-            Err(e) => unreachable!("sources validated at admission: {e}"),
+            // The devices could not make room for a fresh batch (e.g.
+            // memory fragmentation across co-resident tenants): refuse it;
+            // the rest of the queue keeps flowing.
+            Err(LaunchError::Denied) if resume.is_none() => {
+                for (_, q) in &batch {
+                    self.reject(q.req.id, RejectReason::AdmissionDenied, now, st);
+                }
+                return;
+            }
+            // A resumed batch the devices cannot host right now, or whose
+            // snapshot did not validate (stale epoch or shape mismatch),
+            // is demoted: the riders re-enter the ordinary queue and the
+            // ladder continues from scratch.
+            Err(LaunchError::Denied | LaunchError::Stale) => {
+                st.queue.extend(batch.into_iter().map(|(_, q)| q));
+                return;
+            }
         };
-        let worker = &mut self.workers[widx];
-        worker.consecutive_faults = 0;
-        let completion = ready + result.total_ns;
-        worker.busy_ns += completion - now;
-        worker.free_at = completion;
-        // Calibrate the cost model with the measured per-request device
-        // time. Degraded (zero-copy) launches are excluded: their costs
-        // would bias estimates for the normal path.
-        if !degrade {
-            st.qos.cost.observe(
-                &graph,
-                csr,
-                &self.cfg.eta,
-                result.total_ns / batch.len() as Ns,
-            );
-        } else {
-            st.qos.stats.brownout_batches += 1;
-            // lint: allow(L-CAST-TRUNC): batch size is bounded by cfg.max_batch (<= 32)
-            st.qos.stats.brownout_downgrades += batch.len() as u32;
+        let completion = out.ready + out.total_ns;
+        for &i in members {
+            let worker = &mut self.workers[i];
+            worker.consecutive_faults = 0;
+            worker.busy_ns += completion - now;
+            worker.free_at = completion;
+        }
+        let device = members[0] as u32;
+        match resume {
+            Some((ck, from)) => {
+                let migrated = members != from;
+                st.resumes += 1;
+                st.work_saved_iterations += ck.iteration as u64;
+                if migrated {
+                    st.migrations += 1;
+                }
+                if self.prof.is_enabled() {
+                    self.prof.instant(
+                        Track::Ckpt,
+                        if migrated { "migrate" } else { "resume" },
+                        now,
+                        vec![
+                            ("device", device.into()),
+                            ("from_device", (from[0] as u32).into()),
+                            ("iteration", ck.iteration.into()),
+                            ("riders", batch.len().into()),
+                        ],
+                    );
+                }
+            }
+            // Calibrate the cost model with the measured per-request device
+            // time. Degraded (zero-copy) launches are excluded: their costs
+            // would bias estimates for the normal path.
+            None if !degrade => {
+                st.qos
+                    .cost
+                    .observe(&graph, csr, &self.cfg.eta, out.total_ns / batch.len() as Ns)
+            }
+            None => {
+                st.qos.stats.brownout_batches += 1;
+                // lint: allow(L-CAST-TRUNC): batch size is bounded by cfg.max_batch (<= 32)
+                st.qos.stats.brownout_downgrades += batch.len() as u32;
+            }
+        }
+        if let Some((bytes, supersteps)) = out.exchange {
+            let key = members.iter().map(|&i| i as u32).collect();
+            let acc = st.groups.entry(key).or_default();
+            acc.queries += 1;
+            acc.busy_ns += out.total_ns;
+            acc.exchanged_bytes += bytes;
+            acc.supersteps += supersteps;
         }
         st.batches.push(BatchRecord {
-            device: widx as u32,
+            device,
             graph: graph.clone(),
             size: batch.len() as u32,
             dispatched_ns: now,
-            started_ns: ready,
+            started_ns: out.ready,
             completed_ns: completion,
         });
-        for (k, q) in batch.iter().enumerate() {
+        for (slot, q) in &batch {
             let r = &q.req;
-            let reached = result.levels[k].iter().filter(|&&l| l != u32::MAX).count() as u32;
+            let levels = &out.levels[*slot];
+            let reached = levels.iter().filter(|&&l| l != u32::MAX).count() as u32;
             st.records.push(RequestRecord {
                 id: r.id,
                 graph: r.graph.clone(),
@@ -763,13 +1069,13 @@ impl<'r> Service<'r> {
                 source: r.source,
                 arrival_ns: r.arrival_ns,
                 queue_wait_ns: now - r.arrival_ns,
-                transfer_ns: (completion - now) - result.kernel_ns,
-                compute_ns: result.kernel_ns,
+                transfer_ns: (completion - now).saturating_sub(out.kernel_ns),
+                compute_ns: out.kernel_ns,
                 latency_ns: completion - r.arrival_ns,
                 batch_size: batch.len() as u32,
-                device: widx as u32,
+                device,
                 reached,
-                levels_digest: digest_words(&[&result.levels[k]]),
+                levels_digest: digest_words(&[levels]),
                 deadline_met: r.deadline_ns.map(|d| completion <= d),
                 degraded: false,
                 retries: q.retries,
@@ -783,221 +1089,34 @@ impl<'r> Service<'r> {
                 completion,
                 vec![
                     ("graph", graph.as_str().into()),
-                    ("device", (widx as u32).into()),
+                    ("device", device.into()),
                     ("size", batch.len().into()),
                 ],
             );
         }
     }
 
-    /// Rung 0 of the recovery ladder: relaunch a faulted batch from its
-    /// parked snapshot. The snapshot's own device is preferred once its
-    /// backoff has passed (a re-probe); when that device is busy or
-    /// quarantined the batch migrates to the lowest-numbered healthy
-    /// device whose residency admits the graph.
-    fn dispatch_resume(&mut self, now: Ns, st: &mut RunState) {
-        // Deterministic pick: earliest gate, then lowest surviving rider id
-        // (rider ids are unique across the whole system, so this total
-        // order has no ties).
-        let idx = st
-            .resumables
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.not_before <= now)
-            .min_by_key(|(_, r)| {
-                let min_id = r.riders.iter().map(|(_, q)| q.req.id).min();
-                (r.not_before, min_id.unwrap_or(u32::MAX))
-            })
-            .map(|(i, _)| i)
-            .expect("caller checked a resumable is ready");
-        let rb = st.resumables.remove(idx);
-        let preferred_free = self.workers[rb.from_device].free_at <= now
-            && self.workers[rb.from_device].quarantined_until <= now;
-        let widx = if preferred_free {
-            rb.from_device
-        } else {
-            self.workers
-                .iter()
-                .position(|w| w.free_at <= now && w.quarantined_until <= now)
-                .expect("caller checked an idle worker")
-        };
-        let migrated = widx != rb.from_device;
-        let Some(ck) = st.store.take(rb.ckpt_key) else {
-            // Defensive: a missing snapshot demotes the riders to ordinary
-            // retries (their backoff gates have already passed).
-            st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
-            return;
-        };
-        let csr = self
-            .registry
-            .get(&rb.graph)
-            .expect("validated at admission");
-        let cfg = &self.cfg.eta;
-        let worker = &mut self.workers[widx];
-        let ready = match worker.ensure_resident(&rb.graph, csr, cfg, now) {
-            Ok(t) => t,
-            Err(_) => {
-                // The healthy device cannot host the graph right now
-                // (residency pressure). Demote: the riders re-enter the
-                // ordinary queue and the ladder continues without the
-                // snapshot.
-                st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
-                return;
-            }
-        };
-        worker.pin(&rb.graph);
-        let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let saved_iterations = ck.iteration;
-        let result =
-            worker.run_batch_ckpt(&rb.graph, &rb.sources, cfg, ready, &mut sink, Some(&ck));
-        worker.unpin(&rb.graph);
-        st.checkpoints += sink.taken;
-        match result {
-            Ok(result) => {
-                let worker = &mut self.workers[widx];
-                worker.consecutive_faults = 0;
-                let completion = ready + result.total_ns;
-                worker.busy_ns += completion - now;
-                worker.free_at = completion;
-                st.resumes += 1;
-                st.work_saved_iterations += saved_iterations as u64;
-                if migrated {
-                    st.migrations += 1;
-                }
-                if self.prof.is_enabled() {
-                    self.prof.instant(
-                        Track::Ckpt,
-                        if migrated { "migrate" } else { "resume" },
-                        now,
-                        vec![
-                            ("device", (widx as u32).into()),
-                            ("from_device", (rb.from_device as u32).into()),
-                            ("iteration", saved_iterations.into()),
-                            ("riders", rb.riders.len().into()),
-                        ],
-                    );
-                }
-                st.batches.push(BatchRecord {
-                    device: widx as u32,
-                    graph: rb.graph.clone(),
-                    size: rb.riders.len() as u32,
-                    dispatched_ns: now,
-                    started_ns: ready,
-                    completed_ns: completion,
-                });
-                for (slot, q) in &rb.riders {
-                    let r = &q.req;
-                    let levels = &result.levels[*slot];
-                    let reached = levels.iter().filter(|&&l| l != u32::MAX).count() as u32;
-                    st.records.push(RequestRecord {
-                        id: r.id,
-                        graph: r.graph.clone(),
-                        class: r.class,
-                        source: r.source,
-                        arrival_ns: r.arrival_ns,
-                        queue_wait_ns: now - r.arrival_ns,
-                        transfer_ns: (completion - now) - result.kernel_ns,
-                        compute_ns: result.kernel_ns,
-                        latency_ns: completion - r.arrival_ns,
-                        batch_size: rb.riders.len() as u32,
-                        device: widx as u32,
-                        reached,
-                        levels_digest: digest_words(&[levels]),
-                        deadline_met: r.deadline_ns.map(|d| completion <= d),
-                        degraded: false,
-                        retries: q.retries,
-                    });
-                }
-            }
-            Err(QueryError::DeviceFault(fault)) => {
-                let fail_at = self.note_fault(widx, fault, now, st);
-                let device = widx as u32;
-                // Progress is never thrown away: a snapshot taken during
-                // the resumed run supersedes the old one; otherwise the old
-                // snapshot is re-parked — the iterations it saved are still
-                // saved.
-                let parked = sink.take().unwrap_or(ck);
-                let mut riders: Vec<(usize, Queued)> = Vec::new();
-                let mut min_retries = u32::MAX;
-                for (slot, q) in rb.riders {
-                    if q.retries >= self.cfg.max_retries {
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else if !st.qos.retry_try_take(&self.cfg.qos, fail_at) {
-                        // Same budget as the fresh-dispatch ladder: a resume
-                        // retry is still a retry.
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Qos,
-                                "retry_denied",
-                                fail_at,
-                                vec![("id", q.req.id.into())],
-                            );
-                        }
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else {
-                        min_retries = min_retries.min(q.retries);
-                        riders.push((
-                            slot,
-                            Queued {
-                                retries: q.retries + 1,
-                                not_before: 0, // set below
-                                req: q.req,
-                                est_ns: q.est_ns,
-                            },
-                        ));
-                    }
-                }
-                if !riders.is_empty() {
-                    let delay = self.cfg.backoff_base_ns << min_retries;
-                    let not_before = (fail_at + delay).max(now + 1);
-                    for (_, q) in &mut riders {
-                        q.not_before = not_before;
-                    }
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Ckpt,
-                            "park",
-                            fail_at,
-                            vec![
-                                ("device", device.into()),
-                                ("iteration", parked.iteration.into()),
-                                ("riders", riders.len().into()),
-                            ],
-                        );
-                    }
-                    let ckpt_key = st.store.put(parked);
-                    st.resumables.push(ResumableBatch {
-                        graph: rb.graph,
-                        sources: rb.sources,
-                        riders,
-                        ckpt_key,
-                        from_device: widx,
-                        not_before,
-                    });
-                }
-            }
-            Err(QueryError::Checkpoint(_)) => {
-                // The snapshot did not validate against the resident graph
-                // (stale epoch or shape mismatch). Treat as "no usable
-                // checkpoint": the riders restart from scratch through the
-                // ordinary queue.
-                st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
-            }
-            Err(e) => unreachable!("sources validated at admission: {e}"),
-        }
-    }
-
-    /// Shared device-fault bookkeeping: clock/busy accounting, the fault
-    /// event, the consecutive-strike counter, and quarantine when the
-    /// strikes reach the threshold. Returns the fault time on the service
-    /// clock.
-    fn note_fault(&mut self, widx: usize, fault: DeviceFault, now: Ns, st: &mut RunState) -> Ns {
-        let worker = &mut self.workers[widx];
-        // The device clock stopped where the fault surfaced; the worker was
-        // busy (and the requests were in flight) until then.
+    /// Shared device-fault bookkeeping: every member's clock and busy time
+    /// run to the fault, the faulting `member` gets the fault event and a
+    /// consecutive strike, and is quarantined when the strikes reach the
+    /// threshold. Returns the fault time on the service clock.
+    fn note_fault(
+        &mut self,
+        members: &[usize],
+        member: usize,
+        fault: DeviceFault,
+        now: Ns,
+        st: &mut RunState,
+    ) -> Ns {
+        // The devices stopped where the fault surfaced; they were busy
+        // (and the requests were in flight) until then.
         let fail_at = fault.at_ns.max(now);
-        worker.busy_ns += fail_at - now;
-        worker.free_at = fail_at;
+        for &i in members {
+            let worker = &mut self.workers[i];
+            worker.busy_ns += fail_at - now;
+            worker.free_at = fail_at;
+        }
+        let worker = &mut self.workers[member];
         worker.consecutive_faults += 1;
         worker.faults += 1;
         let device = worker.id as u32;
@@ -1019,7 +1138,7 @@ impl<'r> Service<'r> {
             );
         }
         if strikes >= self.cfg.quarantine_after {
-            let worker = &mut self.workers[widx];
+            let worker = &mut self.workers[member];
             worker.quarantined_until = fail_at + self.cfg.quarantine_ns;
             worker.consecutive_faults = 0;
             let until_ns = worker.quarantined_until;
@@ -1092,7 +1211,7 @@ impl<'r> Service<'r> {
     }
 
     /// Assembles the final report: makespan, throughput, availability,
-    /// per-device stats, and the fault/quarantine timelines.
+    /// per-device and per-group stats, and the fault/quarantine timelines.
     fn finish(&self, st: RunState) -> ServeReport {
         let RunState {
             mut records,
@@ -1100,6 +1219,7 @@ impl<'r> Service<'r> {
             batches,
             fault_events,
             quarantines,
+            groups,
             checkpoints,
             resumes,
             migrations,
@@ -1138,6 +1258,22 @@ impl<'r> Service<'r> {
                 evictions: w.evictions,
             })
             .collect();
+        let groups = groups
+            .into_iter()
+            .map(|(devices, a)| GroupStats {
+                devices,
+                queries: a.queries,
+                busy_ns: a.busy_ns,
+                utilization: if makespan_ns == 0 {
+                    0.0
+                } else {
+                    a.busy_ns as f64 / makespan_ns as f64
+                },
+                exchanged_bytes: a.exchanged_bytes,
+                supersteps: a.supersteps,
+                bytes_per_superstep: a.exchanged_bytes.checked_div(a.supersteps).unwrap_or(0),
+            })
+            .collect();
         let degraded = records.iter().filter(|r| r.degraded).count() as u32;
         let denom = records.len() + rejections.len();
         let availability = if denom == 0 {
@@ -1162,7 +1298,7 @@ impl<'r> Service<'r> {
             resumes,
             migrations,
             work_saved_iterations,
-            groups: Vec::new(),
+            groups,
             qos: if self.cfg.qos.any_enabled() {
                 Some(qos.stats)
             } else {
@@ -1349,15 +1485,30 @@ mod tests {
         // request whose wait exactly equalled its timeout slip through.
         // The pinned semantics are inclusive: wait >= limit is too old,
         // so a zero timeout can never dispatch — not even at the arrival
-        // tick, where the wait is exactly 0.
+        // tick, where the wait is exactly 0. Device groups share the
+        // sweep, so the same holds for sharded serving.
         let reg = registry_with(&[("g", 1)]);
-        let mut zero = req(0, "g", 0, 0);
-        zero.timeout_ns = Some(0);
-        let report = Service::new(&reg, ServeConfig::default()).run(&[zero]);
-        assert_eq!(report.completed, 0);
-        assert_eq!(report.rejections.len(), 1);
-        assert_eq!(report.rejections[0].reason, RejectReason::TimedOut);
-        assert_eq!(report.rejections[0].at_ns, 0, "dropped at the arrival tick");
+        let trace: Vec<Request> = (0..2)
+            .map(|i| {
+                let mut zero = req(i, "g", i, 0);
+                zero.timeout_ns = Some(0);
+                zero
+            })
+            .collect();
+        for group_size in [1, 2] {
+            let cfg = ServeConfig {
+                devices: group_size,
+                group_size,
+                ..ServeConfig::default()
+            };
+            let report = Service::new(&reg, cfg).run(&trace);
+            assert_eq!(report.completed, 0, "group_size {group_size}");
+            assert_eq!(report.rejections.len(), 2);
+            for r in &report.rejections {
+                assert_eq!(r.reason, RejectReason::TimedOut);
+                assert_eq!(r.at_ns, 0, "dropped at the arrival tick");
+            }
+        }
     }
 
     #[test]
@@ -1693,5 +1844,231 @@ mod tests {
         // Both launches start at t=0: the second was not serialized behind
         // the first.
         assert!(report.batches.iter().all(|b| b.dispatched_ns == 0));
+    }
+
+    /// A group-serving config: `devices` in the pool, groups of two, and
+    /// quarantine on the first strike (a group fault stalls every member).
+    fn group_cfg(devices: usize) -> ServeConfig {
+        ServeConfig {
+            devices,
+            group_size: 2,
+            quarantine_after: 1,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn group_queries_answer_like_the_reference() {
+        let reg = registry_with(&[("g", 1)]);
+        let expect: Vec<u64> = (0..3u32)
+            .map(|s| digest_words(&[&reference::bfs(reg.get("g").unwrap(), s)]))
+            .collect();
+        let trace: Vec<Request> = (0..3).map(|i| req(i, "g", i, 0)).collect();
+        let report = Service::new(&reg, group_cfg(2)).run(&trace);
+        assert_eq!(report.completed, 3);
+        assert_eq!(report.degraded, 0);
+        for r in &report.records {
+            assert_eq!(r.levels_digest, expect[r.source as usize], "query {}", r.id);
+        }
+        assert_eq!(report.groups.len(), 1, "one composition: {{0,1}}");
+        let g = &report.groups[0];
+        assert_eq!(g.devices, vec![0, 1]);
+        assert_eq!(g.queries, 3);
+        assert!(g.exchanged_bytes > 0, "halo traffic crossed the fabric");
+        assert!(g.bytes_per_superstep > 0);
+        assert!(g.utilization > 0.0 && g.utilization <= 1.0);
+    }
+
+    #[test]
+    fn groups_are_acquired_and_released_atomically() {
+        let reg = registry_with(&[("g", 1)]);
+        // Pool of 2, group of 2: two simultaneous queries must serialize —
+        // a half-claimed group would let them overlap.
+        let trace = vec![req(0, "g", 0, 0), req(1, "g", 5, 0)];
+        let report = Service::new(&reg, group_cfg(2)).run(&trace);
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.batches.len(), 2);
+        let (a, b) = (&report.batches[0], &report.batches[1]);
+        let (first, second) = if a.dispatched_ns <= b.dispatched_ns {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        assert!(
+            second.dispatched_ns >= first.completed_ns,
+            "second group query waited for the whole group"
+        );
+    }
+
+    #[test]
+    fn oversized_partitions_are_refused_at_admission() {
+        let reg = registry_with(&[("g", 1)]);
+        let cfg = group_cfg(2);
+        let part = GraphPartition::vertex_range(reg.get("g").unwrap(), 2);
+        let explicit = cfg.eta.transfer.topology_is_explicit();
+        let max_shard = part
+            .shards
+            .iter()
+            .map(|s| s.footprint_bytes(cfg.eta.k, explicit))
+            .max()
+            .unwrap();
+        // Regression for halo-blind admission: capacity sits between the
+        // owned-only estimate (whole graph / group) and the true largest
+        // member footprint. Sizing by owned ranges alone would admit — and
+        // then OOM mid-flight; the halo-aware check must refuse upfront.
+        let owned_only = max_shard
+            - part
+                .shards
+                .iter()
+                .map(|s| (s.halo.len() as u64) * 2 * 4) // halo label+tag words
+                .max()
+                .unwrap();
+        assert!(owned_only < max_shard, "the halo replicas are what differ");
+        let capacity = max_shard - 1;
+        let tight = ServeConfig {
+            gpu: GpuConfig::gtx1080ti_scaled(capacity),
+            ..cfg
+        };
+        let report = Service::new(&reg, tight).run(&[req(0, "g", 0, 0)]);
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.rejections.len(), 1);
+        assert_eq!(report.rejections[0].reason, RejectReason::AdmissionDenied);
+        // At exactly the largest member's footprint (plus topology slack
+        // from the upload itself), the same query is admitted and served.
+        let roomy = ServeConfig {
+            gpu: GpuConfig::gtx1080ti_scaled(max_shard * 3),
+            ..group_cfg(2)
+        };
+        let report = Service::new(&reg, roomy).run(&[req(0, "g", 0, 0)]);
+        assert_eq!(report.completed, 1);
+    }
+
+    #[test]
+    fn faulted_member_quarantines_and_the_query_regroups() {
+        use eta_fault::HangFault;
+        let reg = registry_with(&[("g", 1)]);
+        let expect = digest_words(&[&reference::bfs(reg.get("g").unwrap(), 0)]);
+        // Member 1 hangs instantly and permanently; pool of 3 with groups
+        // of 2. The first attempt on {0, 1} faults, member 1 quarantines,
+        // and the retry regroups on {0, 2} and completes on the devices.
+        let plan = FaultPlan {
+            hangs: vec![HangFault {
+                device: 1,
+                start_ns: 0,
+                end_ns: Ns::MAX,
+                budget_ns: 1_000,
+            }],
+            ..FaultPlan::default()
+        };
+        let cfg = ServeConfig {
+            faults: plan,
+            checkpoint_interval: 2,
+            ..group_cfg(3)
+        };
+        let report = Service::new(&reg, cfg).run(&[req(0, "g", 0, 0)]);
+        assert_eq!(report.completed, 1, "0 lost");
+        assert_eq!(report.degraded, 0, "answered on devices, not the CPU");
+        assert_eq!(report.records[0].levels_digest, expect, "0 wrong");
+        assert_eq!(report.quarantines.len(), 1);
+        assert_eq!(report.quarantines[0].device, 1);
+        assert!(report.records[0].retries >= 1);
+        let regrouped = report
+            .groups
+            .iter()
+            .any(|g| g.devices == vec![0, 2] && g.queries == 1);
+        assert!(regrouped, "the query completed on the regrouped set");
+    }
+
+    #[test]
+    fn parked_snapshot_resumes_on_the_regrouped_set() {
+        use eta_fault::HangFault;
+        let reg = registry_with(&[("g", 1)]);
+        let expect = digest_words(&[&reference::bfs(reg.get("g").unwrap(), 0)]);
+        // A budget that admits the small early-superstep kernels but kills
+        // the peak-frontier one: the interval-1 snapshot exists when member
+        // 1 dies, so the regrouped retry resumes instead of restarting.
+        let plan = FaultPlan {
+            hangs: vec![HangFault {
+                device: 1,
+                start_ns: 0,
+                end_ns: Ns::MAX,
+                budget_ns: 40_000,
+            }],
+            ..FaultPlan::default()
+        };
+        let cfg = ServeConfig {
+            faults: plan,
+            checkpoint_interval: 1,
+            ..group_cfg(3)
+        };
+        let report = Service::new(&reg, cfg).run(&[req(0, "g", 0, 0)]);
+        assert_eq!(report.completed, 1);
+        assert_eq!(report.degraded, 0);
+        assert_eq!(report.records[0].levels_digest, expect);
+        assert!(
+            report.checkpoints >= 1,
+            "a snapshot was taken before the kill"
+        );
+        assert_eq!(report.resumes, 1, "the retry resumed from the snapshot");
+        assert_eq!(report.migrations, 1, "and on a different member set");
+        assert!(report.work_saved_iterations >= 1);
+    }
+
+    #[test]
+    fn group_runs_are_deterministic() {
+        let reg = registry_with(&[("g", 1)]);
+        let trace: Vec<Request> = (0..5)
+            .map(|i| req(i, "g", 2 * i, (i as Ns) * 10_000))
+            .collect();
+        let run = || {
+            let cfg = ServeConfig {
+                faults: FaultPlan::seeded(11, 1, 30_000_000),
+                checkpoint_interval: 2,
+                ..group_cfg(3)
+            };
+            let report = Service::new(&reg, cfg).run(&trace);
+            serde_json::to_string(&report).expect("report serializes")
+        };
+        assert_eq!(run(), run(), "same config, same trace, same bytes");
+    }
+
+    #[test]
+    fn partitions_are_cached_and_invalidated_on_replace() {
+        let mut reg = GraphRegistry::new();
+        reg.insert("g", rmat(&RmatConfig::paper(9, 3_000, 1)));
+        let mut parts = Service::new(&reg, ServeConfig::default()).partitions;
+        let cuts = parts.get(&reg, "g", 2).unwrap().cuts.clone();
+        assert_eq!(parts.get(&reg, "g", 2).unwrap().cuts, cuts, "cache hit");
+        assert!(parts.get(&reg, "missing", 2).is_none());
+        // The cache lives with a service, which borrows the registry, so a
+        // replaced graph is partitioned afresh by the next service.
+        reg.insert("g", rmat(&RmatConfig::paper(8, 1_500, 2)));
+        let mut parts = Service::new(&reg, ServeConfig::default()).partitions;
+        let fresh = parts.get(&reg, "g", 2).unwrap();
+        assert_eq!(fresh.n as usize, reg.get("g").unwrap().n());
+    }
+
+    #[test]
+    fn group_footprint_counts_halo_replicas() {
+        let mut reg = GraphRegistry::new();
+        reg.insert("g", rmat(&RmatConfig::paper(10, 12_000, 3)));
+        let cfg = EtaConfig::paper();
+        let mut parts = Partitions::default();
+        let fp = parts.max_footprint_bytes(&reg, "g", 2, &cfg).unwrap();
+        let part = parts.get(&reg, "g", 2).unwrap();
+        assert!(part.halo_total() > 0, "an rmat cut has cross edges");
+        // The admitted size is the max *local* footprint; any shard with a
+        // non-empty halo is strictly bigger than its owned range alone.
+        let explicit = cfg.transfer.topology_is_explicit();
+        let max_local = part
+            .shards
+            .iter()
+            .map(|s| s.footprint_bytes(cfg.k, explicit))
+            .max()
+            .unwrap();
+        assert_eq!(fp, max_local);
+        assert!(parts
+            .max_footprint_bytes(&reg, "missing", 2, &cfg)
+            .is_none());
     }
 }

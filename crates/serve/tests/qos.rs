@@ -55,17 +55,20 @@ fn assert_exactly_once(trace: &[Request], report: &ServeReport, label: &str) {
     );
 }
 
-/// Property-style sweep: rate multipliers x arrival shapes x fault plans,
-/// all with the full qos profile on a small queue. Every cell must dispose
-/// of every request exactly once, and a second run must serialize to the
-/// same bytes.
+/// Property-style sweep: rate multipliers x arrival shapes x fault plans x
+/// group sizes (one device per launch, or sharded pairs), all with the full
+/// qos profile on a small queue. Every cell must dispose of every request
+/// exactly once, and a second run must serialize to the same bytes.
 #[test]
 fn exactly_once_disposition_under_saturation_grid() {
     let reg = registry_with(&[("tenant-a", 1), ("tenant-b", 2)]);
     let names = vec!["tenant-a".to_string(), "tenant-b".to_string()];
     for &rate in &[20_000.0f64, 80_000.0, 160_000.0] {
         for &arrival in &[Arrival::Poisson, Arrival::Burst] {
-            for plan_seed in [None, Some(131u64)] {
+            for (plan_seed, group_size) in [None, Some(131u64)]
+                .into_iter()
+                .flat_map(|p| [(p, 1), (p, 2)])
+            {
                 let workload = WorkloadConfig {
                     requests: 80,
                     seed: 7,
@@ -79,6 +82,7 @@ fn exactly_once_disposition_under_saturation_grid() {
                 let trace = poisson_trace(&reg, &names, &workload);
                 let cfg = ServeConfig {
                     devices: 2,
+                    group_size,
                     queue_capacity: 16,
                     checkpoint_interval: 2,
                     faults: plan_seed
@@ -87,7 +91,10 @@ fn exactly_once_disposition_under_saturation_grid() {
                     qos: QosConfig::standard(),
                     ..ServeConfig::default()
                 };
-                let label = format!("rate={rate} arrival={} plan={plan_seed:?}", arrival.name());
+                let label = format!(
+                    "rate={rate} arrival={} plan={plan_seed:?} group_size={group_size}",
+                    arrival.name()
+                );
                 let a = Service::new(&reg, cfg.clone()).run(&trace);
                 assert_exactly_once(&trace, &a, &label);
                 let b = Service::new(&reg, cfg).run(&trace);
