@@ -89,10 +89,11 @@ mv "$PROFILE_OUT/transfer.json" "$PROFILE_OUT/transfer.first.json"
 cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"
 
-echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads)"
+echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads;"
+echo "    sswp covers atomic_max, cc every SMP shared-memory pattern)"
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
     --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.etag" >/dev/null
-for alg in bfs sssp; do
+for alg in bfs sssp sswp cc; do
     for extra in "" "--sanitize" "--transfer adaptive"; do
         # shellcheck disable=SC2086
         cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.etag" \

@@ -20,6 +20,10 @@
 //! - **chaos_drill** — the quick chaos grid (seed × checkpoint-interval
 //!   fault-injection serves) timed as cells/second, again at each thread
 //!   setting.
+//! - **stages** — host seconds per launch stage (record, coalesce,
+//!   residency, L1, L2) for BFS, SSSP and SSSP-adaptive on the livejournal
+//!   analog at one host thread, read through an
+//!   [`eta_bench::hosttime::StageTimes`] sink on the device.
 //!
 //! Simulated results are byte-identical at every thread count — `ci.sh`
 //! enforces that separately; this file only tracks host time. The file is
@@ -33,7 +37,7 @@
 //!
 //! Keep runs in release mode; debug is 10-50x slower through the simulator.
 
-use eta_bench::hosttime::Stopwatch;
+use eta_bench::hosttime::{StageTimes, Stopwatch};
 use eta_bench::suite;
 use eta_fault::{FaultPlan, HangFault};
 use eta_graph::generate::{rmat, RmatConfig};
@@ -41,8 +45,8 @@ use eta_graph::Csr;
 use eta_serve::{
     poisson_trace, Arrival, GraphRegistry, Request, ServeConfig, Service, WorkloadConfig,
 };
-use eta_sim::{Device, GpuConfig};
-use etagraph::{engine, Algorithm, EtaConfig};
+use eta_sim::{Device, GpuConfig, LaunchStage};
+use etagraph::{engine, Algorithm, EtaConfig, TransferMode};
 use serde_json::{json, Value};
 use std::sync::Arc;
 
@@ -194,6 +198,68 @@ fn time_drill(drill: &ChaosDrill, threads: usize) -> f64 {
     best
 }
 
+/// The stage-split cells: livejournal from its dataset source, demand
+/// paging unless adaptive.
+const STAGE_CELLS: [(Algorithm, TransferMode, &str); 3] = [
+    (Algorithm::Bfs, TransferMode::Unified, "demand"),
+    (Algorithm::Sssp, TransferMode::Unified, "demand"),
+    (Algorithm::Sssp, TransferMode::Adaptive, "adaptive"),
+];
+
+/// Host seconds per launch stage for each stage cell at one host thread
+/// (the fastest of REPS by summed launch time).
+fn stage_split() -> Vec<Value> {
+    let dataset = "livejournal";
+    STAGE_CELLS
+        .iter()
+        .map(|&(alg, transfer, mode)| {
+            let g = suite::graph_for(dataset, alg);
+            let cfg = EtaConfig {
+                transfer,
+                ..EtaConfig::paper()
+            };
+            let mut best = [f64::INFINITY; LaunchStage::ALL.len()];
+            for _ in 0..REPS {
+                let times = StageTimes::default();
+                let mut dev = Device::new(GpuConfig::default_preset());
+                dev.set_stage_sink(Some(times.sink()));
+                // lint: allow(L-PANIC): quick-suite graphs are host-backed (no OOM); an error is a bench bug
+                engine::run(&mut dev, &g, suite::dataset(dataset).source, alg, &cfg)
+                    .expect("stage cell");
+                let secs = times.seconds();
+                if secs.iter().sum::<f64>() < best.iter().sum::<f64>() {
+                    best = secs;
+                }
+            }
+            let launch: f64 = best.iter().sum();
+            let serial = best[LaunchStage::Record as usize]
+                + best[LaunchStage::Residency as usize]
+                + best[LaunchStage::L2 as usize];
+            let split: Vec<String> = LaunchStage::ALL
+                .iter()
+                .map(|s| format!("{} {:.3}s", s.name(), best[*s as usize]))
+                .collect();
+            eprintln!(
+                "stages ({dataset} {} {mode}): launch {launch:.3}s = {}",
+                alg.name(),
+                split.join(", ")
+            );
+            let mut stages = serde_json::Map::new();
+            for s in LaunchStage::ALL {
+                stages.insert(s.name().to_string(), json!(best[s as usize]));
+            }
+            json!({
+                "dataset": dataset,
+                "algorithm": alg.name(),
+                "transfer": mode,
+                "launch_seconds": launch,
+                "stage_seconds": Value::Object(stages),
+                "serial_fraction": serial / launch,
+            })
+        })
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str| {
@@ -267,6 +333,8 @@ fn main() {
         n_cells / drill_par,
     );
 
+    let stages = stage_split();
+
     let entry = json!({
         "schema": "eta-bench-trajectory-v1",
         "bench": "sim",
@@ -295,6 +363,10 @@ fn main() {
             "cells_per_sec_1_thread": n_cells / drill_serial,
             "cells_per_sec_n_threads": n_cells / drill_par,
             "speedup": drill_serial / drill_par,
+        },
+        "stages": {
+            "host_threads": 1,
+            "cells": stages,
         },
         "wall_seconds_total": total.elapsed_secs(),
     });

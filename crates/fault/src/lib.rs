@@ -135,48 +135,48 @@ impl FaultPlan {
             seed,
             ..FaultPlan::default()
         };
-        for _ in 0..1 + rng.next() % 3 {
+        for _ in 0..1 + rng.next_u64() % 3 {
             plan.ecc.push(EccFault {
-                device: (rng.next() % devices as u64) as u32,
-                at_ns: rng.next() % horizon,
-                addr_start: (rng.next() % 4096) * 32,
-                addr_words: 1 + rng.next() % 64,
-                double_bit: rng.next().is_multiple_of(2),
+                device: (rng.next_u64() % devices as u64) as u32,
+                at_ns: rng.next_u64() % horizon,
+                addr_start: (rng.next_u64() % 4096) * 32,
+                addr_words: 1 + rng.next_u64() % 64,
+                double_bit: rng.next_u64().is_multiple_of(2),
             });
         }
-        for _ in 0..rng.next() % 3 {
-            let start = rng.next() % horizon;
-            let len = 1 + horizon / 8 + rng.next() % (horizon / 4 + 1);
+        for _ in 0..rng.next_u64() % 3 {
+            let start = rng.next_u64() % horizon;
+            let len = 1 + horizon / 8 + rng.next_u64() % (horizon / 4 + 1);
             plan.um.push(UmFault {
-                device: (rng.next() % devices as u64) as u32,
+                device: (rng.next_u64() % devices as u64) as u32,
                 start_ns: start,
                 end_ns: start.saturating_add(len),
-                kind: if rng.next().is_multiple_of(2) {
+                kind: if rng.next_u64().is_multiple_of(2) {
                     UmFaultKind::MigrationFail
                 } else {
                     UmFaultKind::Storm
                 },
-                extra_ns: 500 + rng.next() % 2000,
+                extra_ns: 500 + rng.next_u64() % 2000,
             });
         }
-        for _ in 0..rng.next() % 2 {
-            let start = rng.next() % horizon;
-            let len = 1 + horizon / 4 + rng.next() % (horizon / 2 + 1);
+        for _ in 0..rng.next_u64() % 2 {
+            let start = rng.next_u64() % horizon;
+            let len = 1 + horizon / 4 + rng.next_u64() % (horizon / 2 + 1);
             plan.hangs.push(HangFault {
-                device: (rng.next() % devices as u64) as u32,
+                device: (rng.next_u64() % devices as u64) as u32,
                 start_ns: start,
                 end_ns: start.saturating_add(len),
-                budget_ns: 1_000 + rng.next() % (horizon / 4 + 1),
+                budget_ns: 1_000 + rng.next_u64() % (horizon / 4 + 1),
             });
         }
-        for _ in 0..rng.next() % 3 {
-            let start = rng.next() % horizon;
-            let len = 1 + horizon / 8 + rng.next() % (horizon / 4 + 1);
+        for _ in 0..rng.next_u64() % 3 {
+            let start = rng.next_u64() % horizon;
+            let len = 1 + horizon / 8 + rng.next_u64() % (horizon / 4 + 1);
             plan.pcie.push(PcieDegradation {
-                device: (rng.next() % devices as u64) as u32,
+                device: (rng.next_u64() % devices as u64) as u32,
                 start_ns: start,
                 end_ns: start.saturating_add(len),
-                factor: 1.5 + (rng.next() % 6) as f64 * 0.5,
+                factor: 1.5 + (rng.next_u64() % 6) as f64 * 0.5,
             });
         }
         plan
@@ -184,10 +184,12 @@ impl FaultPlan {
 }
 
 /// splitmix64 — the standard 64-bit mixing PRNG (public domain, Vigna).
-struct SplitMix64(u64);
+/// The state is the seed; the same seed always yields the same stream.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

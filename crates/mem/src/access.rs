@@ -8,9 +8,14 @@
 //! 1. **Record** (serial, canonical block-major order): warps execute
 //!    functionally and append one [`AccessRec`] per global-memory
 //!    instruction to their SM's [`SmQueue`], plus the SM index to a global
-//!    order list.
-//! 2. **Coalesce** ([`SmQueue::coalesce`], parallel per SM): raw lane word
-//!    addresses become sorted, deduplicated 32-byte sector IDs.
+//!    order list. An access's word addresses are *sector-deduplicated* as
+//!    they are pushed ([`SmQueue::push_word`]): walking the active lanes in
+//!    order, a word is kept only when its 32-byte sector differs from the
+//!    previously kept word's, so a coalesced warp records 4 words, not 32.
+//! 2. **Coalesce** ([`SmQueue::coalesce`], parallel per SM): the recorded
+//!    words become sorted, deduplicated 32-byte sector IDs. Records whose
+//!    sectors already strictly increase (the common, coalesced case) are
+//!    copied without a sort.
 //! 3. **Residency** (serial, canonical order):
 //!    [`crate::system::MemSystem::resolve_access`] replays UM migrations and
 //!    zero-copy classification in exactly the order the inline path ran
@@ -87,11 +92,18 @@ pub struct L1DrainParams {
     pub interleave: u64,
 }
 
+/// The "no previous sector" state [`SmQueue::push_word`] starts each
+/// access from (no word address maps to it).
+pub const NO_SECTOR: u64 = u64::MAX;
+
 /// One SM's recorded accesses and the per-SM results of the parallel
 /// stages. Cleared (capacity kept) at the start of every launch.
 #[derive(Debug, Default)]
 pub struct SmQueue {
-    /// Raw active-lane word addresses, one range per [`AccessRec`].
+    /// Sector-deduplicated word addresses, one range per [`AccessRec`]: the
+    /// active lanes' words in lane order (burst groups: lane-major, then
+    /// row), minus each word whose sector equals the previous kept word's.
+    /// The range covers exactly the sectors of all active lanes.
     pub addrs: Vec<u64>,
     pub recs: Vec<AccessRec>,
     /// Coalesced sector IDs, one range per [`AccessRec`].
@@ -125,6 +137,19 @@ impl SmQueue {
         self.l1_hits = 0;
     }
 
+    /// Appends one lane's word address to the access being recorded unless
+    /// it falls in the same sector as the previously kept word. `last`
+    /// carries that sector between calls; start each access at
+    /// [`NO_SECTOR`].
+    #[inline]
+    pub fn push_word(&mut self, addr: u64, last: &mut u64) {
+        let sector = sector_of_word(addr);
+        if sector != *last {
+            self.addrs.push(addr);
+            *last = sector;
+        }
+    }
+
     /// Appends one access; `addr_start` marks where its addresses begin in
     /// `addrs` (the caller pushed them just before).
     pub fn commit(
@@ -147,25 +172,39 @@ impl SmQueue {
         });
     }
 
-    /// Stage 2: coalesces every access's raw addresses into sorted,
+    /// Stage 2: coalesces every access's recorded words into sorted,
     /// deduplicated sector IDs — the same map the inline path ran through
     /// [`crate::coalesce::sectors_for_warp`] (normal accesses) or its
-    /// sort+dedup of `addr / 8` (burst groups). Per-SM state only, so
-    /// launches run one call per SM concurrently.
+    /// sort+dedup of `addr / 8` (burst groups). Sectors that already
+    /// strictly increase are copied as they come; any other record is
+    /// sorted and deduplicated. Per-SM state only, so launches run one
+    /// call per SM concurrently.
     pub fn coalesce(&mut self) {
         self.sectors.clear();
         for rec in &mut self.recs {
-            self.scratch.clear();
-            self.scratch.extend(
-                self.addrs[rec.addr_start..rec.addr_start + rec.addr_len]
-                    .iter()
-                    .map(|&a| sector_of_word(a)),
-            );
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
+            let addrs = &self.addrs[rec.addr_start..rec.addr_start + rec.addr_len];
             rec.sec_start = self.sectors.len();
-            rec.sec_len = self.scratch.len();
-            self.sectors.extend_from_slice(&self.scratch);
+            let mut next_min = 0u64;
+            let mut sorted = true;
+            for &a in addrs {
+                let sector = sector_of_word(a);
+                if sector < next_min {
+                    sorted = false;
+                    break;
+                }
+                self.sectors.push(sector);
+                next_min = sector + 1;
+            }
+            if !sorted {
+                self.sectors.truncate(rec.sec_start);
+                self.scratch.clear();
+                self.scratch
+                    .extend(addrs.iter().map(|&a| sector_of_word(a)));
+                self.scratch.sort_unstable();
+                self.scratch.dedup();
+                self.sectors.extend_from_slice(&self.scratch);
+            }
+            rec.sec_len = self.sectors.len() - rec.sec_start;
         }
         self.zc.clear();
         self.zc.resize(self.sectors.len(), false);
@@ -231,6 +270,7 @@ pub fn drain_l1(queue: &mut SmQueue, l1: &mut Cache, p: &L1DrainParams) {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use eta_fault::SplitMix64;
 
     fn queue_with(recs: &[(PipeOp, bool, bool, &[u64])]) -> SmQueue {
         let mut q = SmQueue::default();
@@ -254,6 +294,76 @@ mod tests {
         assert_eq!(q.recs[1].sec_start, 4);
         assert_eq!(&q.sectors[4..], &[2]);
         assert_eq!(q.zc.len(), q.sectors.len());
+    }
+
+    /// Coalescing as it stood before records were sector-deduplicated:
+    /// every active lane's word mapped to its sector, sorted, deduplicated.
+    fn coalesce_sorted(words: &[u64]) -> Vec<u64> {
+        let mut sectors: Vec<u64> = words.iter().map(|&a| sector_of_word(a)).collect();
+        sectors.sort_unstable();
+        sectors.dedup();
+        sectors
+    }
+
+    /// Active-lane word lists: seeded random, strided, broadcast,
+    /// descending, sparse-mask and SMP-burst (lane-major rows) patterns.
+    fn lane_patterns() -> Vec<Vec<u64>> {
+        let mut rng = SplitMix64(7);
+        let mut out: Vec<Vec<u64>> = Vec::new();
+        for stride in [0u64, 1, 2, 7, 8, 9, 33, 1024] {
+            out.push((0..32).map(|l| 4096 + l * stride).collect());
+        }
+        out.push((0..32).rev().map(|l| l * 3).collect());
+        for _ in 0..200 {
+            let mask = rng.next_u64() as u32 & rng.next_u64() as u32;
+            let spread = 1 + rng.next_u64() % 4096;
+            let base = rng.next_u64() % (1 << 40);
+            out.push(
+                (0..32)
+                    .filter(|l| (mask >> l) & 1 == 1)
+                    .map(|_| base + rng.next_u64() % spread)
+                    .collect(),
+            );
+            let mut burst = Vec::new();
+            for _ in 0..(rng.next_u64() % 32) {
+                let start = base + rng.next_u64() % spread;
+                burst.extend(start..start + 1 + rng.next_u64() % 4);
+            }
+            out.push(burst);
+        }
+        out
+    }
+
+    #[test]
+    fn deduplicated_records_coalesce_like_the_full_sort() {
+        let patterns = lane_patterns();
+        let mut q = SmQueue::default();
+        for words in &patterns {
+            let start = q.addrs.len();
+            let mut last = NO_SECTOR;
+            for &a in words {
+                q.push_word(a, &mut last);
+            }
+            q.commit(0, PipeOp::Load, false, true, start);
+        }
+        q.coalesce();
+        for (words, rec) in patterns.iter().zip(&q.recs) {
+            let got = &q.sectors[rec.sec_start..rec.sec_start + rec.sec_len];
+            assert_eq!(got, &coalesce_sorted(words)[..], "words {words:?}");
+        }
+        assert_eq!(q.zc.len(), q.sectors.len());
+    }
+
+    #[test]
+    fn push_word_keeps_one_word_per_sector_run() {
+        let mut q = SmQueue::default();
+        let mut last = NO_SECTOR;
+        for a in [0u64, 1, 7, 8, 9, 0, 16] {
+            q.push_word(a, &mut last);
+        }
+        // 1 and 7 share 0's sector, 9 shares 8's; 0 again follows a new
+        // sector so it is kept (coalesce deduplicates it).
+        assert_eq!(q.addrs, [0, 8, 0, 16]);
     }
 
     #[test]

@@ -71,17 +71,21 @@ impl CacheStats {
     }
 }
 
+/// One way: 16 bytes, so an L2 of 88k lines fits a 2 MiB host cache.
 #[derive(Debug, Clone, Copy)]
 struct Line {
+    /// The resident line ID, or [`INVALID_TAG`] for an empty way.
     tag: u64,
     last_touch: u64,
-    valid: bool,
 }
 
+/// The tag of an empty way. Line IDs are sector IDs (word address / 8), so
+/// none reaches it.
+const INVALID_TAG: u64 = u64::MAX;
+
 const INVALID: Line = Line {
-    tag: 0,
+    tag: INVALID_TAG,
     last_touch: 0,
-    valid: false,
 };
 
 /// A set-associative cache keyed by line (sector) ID.
@@ -144,14 +148,19 @@ impl Cache {
     /// resident line whose age exceeds `retention` counts as a miss: the
     /// interleaved traffic of co-resident warps is assumed to have evicted it.
     pub fn access(&mut self, line_id: u64) -> bool {
+        debug_assert_ne!(
+            line_id, INVALID_TAG,
+            "line ID collides with the empty-way tag"
+        );
         let set = (line_id as usize) % self.sets;
         let base = set * self.cfg.ways;
         let ways = &mut self.lines[base..base + self.cfg.ways];
 
+        // Victim: the last empty way, else the first least-recent one.
         let mut victim = 0usize;
         let mut victim_touch = u64::MAX;
         for (w, line) in ways.iter_mut().enumerate() {
-            if line.valid && line.tag == line_id {
+            if line.tag == line_id {
                 let age = self.clock.saturating_sub(line.last_touch);
                 line.last_touch = self.clock;
                 if age <= self.cfg.retention {
@@ -162,20 +171,18 @@ impl Cache {
                 self.stats.misses += 1;
                 return false;
             }
-            let touch = if line.valid { line.last_touch } else { 0 };
-            if !line.valid {
+            if line.tag == INVALID_TAG {
                 victim = w;
                 victim_touch = 0;
-            } else if touch < victim_touch {
+            } else if line.last_touch < victim_touch {
                 victim = w;
-                victim_touch = touch;
+                victim_touch = line.last_touch;
             }
         }
         self.stats.misses += 1;
         ways[victim] = Line {
             tag: line_id,
             last_touch: self.clock,
-            valid: true,
         };
         false
     }
@@ -184,6 +191,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eta_fault::SplitMix64;
 
     fn small_cache(retention: u64) -> Cache {
         // 8 lines total, 2-way, 4 sets.
@@ -264,6 +272,130 @@ mod tests {
         assert!(!c.access(1));
         assert_eq!(c.stats().hits, before.hits);
         assert_eq!(c.stats().misses, before.misses + 1);
+    }
+
+    /// The cache as it stood with 24-byte lines (an explicit `valid` flag),
+    /// kept as the oracle for the 16-byte-line model.
+    struct LegacyCache {
+        cfg: CacheConfig,
+        sets: usize,
+        lines: Vec<(u64, u64, bool)>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl LegacyCache {
+        fn new(cfg: CacheConfig) -> Self {
+            LegacyCache {
+                cfg,
+                sets: cfg.sets(),
+                lines: vec![(0, 0, false); cfg.sets() * cfg.ways],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, line_id: u64) -> bool {
+            let base = (line_id as usize % self.sets) * self.cfg.ways;
+            let ways = &mut self.lines[base..base + self.cfg.ways];
+            let mut victim = 0usize;
+            let mut victim_touch = u64::MAX;
+            for (w, line) in ways.iter_mut().enumerate() {
+                let (tag, last_touch, valid) = *line;
+                if valid && tag == line_id {
+                    let age = self.clock.saturating_sub(last_touch);
+                    line.1 = self.clock;
+                    if age <= self.cfg.retention {
+                        self.stats.hits += 1;
+                        return true;
+                    }
+                    self.stats.misses += 1;
+                    return false;
+                }
+                let touch = if valid { last_touch } else { 0 };
+                if !valid {
+                    victim = w;
+                    victim_touch = 0;
+                } else if touch < victim_touch {
+                    victim = w;
+                    victim_touch = touch;
+                }
+            }
+            self.stats.misses += 1;
+            ways[victim] = (line_id, self.clock, true);
+            false
+        }
+    }
+
+    #[test]
+    fn matches_the_24_byte_line_model_on_seeded_streams() {
+        // (lines, ways, retention): direct-mapped, non-power-of-two sets,
+        // wide sets, and retentions that age out often or never.
+        let shapes = [
+            (8u64, 1usize, 4u64),
+            (24, 2, 16),
+            (48, 4, 40),
+            (64, 8, 200),
+            (96, 6, u64::MAX),
+        ];
+        for (seed, &(lines, ways, retention)) in shapes.iter().enumerate() {
+            let cfg = CacheConfig {
+                size_bytes: lines * 32,
+                line_bytes: 32,
+                ways,
+                retention,
+            };
+            let mut new = Cache::new(cfg);
+            let mut old = LegacyCache::new(cfg);
+            let mut rng = SplitMix64(seed as u64 + 1);
+            for step in 0..20_000 {
+                let r = rng.next_u64();
+                // A key space a few times the cache, with a hot subset.
+                let id = if r.is_multiple_of(3) {
+                    r % 8
+                } else {
+                    (r >> 8) % (lines * 3)
+                };
+                assert_eq!(
+                    new.access(id),
+                    old.access(id),
+                    "shape {seed}, step {step}, line {id}"
+                );
+                let ticks = match r % 16 {
+                    0 => retention.min(1 << 20) + 1,
+                    1..=8 => r >> 60,
+                    _ => 0,
+                };
+                new.tick(ticks);
+                old.clock += ticks;
+                if r.is_multiple_of(997) {
+                    new.flush();
+                    old.lines.fill((0, 0, false));
+                }
+            }
+            assert_eq!(new.stats(), old.stats, "shape {seed}");
+            assert!(old.stats.hits > 0 && old.stats.misses > 0);
+        }
+    }
+
+    #[test]
+    fn victim_is_the_last_empty_way_else_the_first_least_recent() {
+        // One set of four ways.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4 * 32,
+            line_bytes: 32,
+            ways: 4,
+            retention: u64::MAX,
+        });
+        c.access(10); // empty ways 0..4: fills way 3
+        c.access(20); // fills way 2
+        assert_eq!((c.lines[3].tag, c.lines[2].tag), (10, 20));
+        c.access(30);
+        c.access(40); // the set is full, every way touched at clock 0
+        c.tick(1);
+        c.access(50); // ties: the first least-recent way (way 0, line 40)
+        assert_eq!(c.lines[0].tag, 50);
+        assert!(c.access(30) && c.access(20) && c.access(10));
     }
 
     #[test]

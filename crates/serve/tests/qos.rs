@@ -58,11 +58,15 @@ fn assert_exactly_once(trace: &[Request], report: &ServeReport, label: &str) {
 /// Property-style sweep: rate multipliers x arrival shapes x fault plans x
 /// group sizes (one device per launch, or sharded pairs), all with the full
 /// qos profile on a small queue. Every cell must dispose of every request
-/// exactly once, and a second run must serialize to the same bytes.
+/// exactly once, and a second run must serialize to the same bytes. The
+/// seeded fault plan spans the trace's arrivals, so its events land while
+/// requests are in flight: at least one faulted cell per group size must
+/// record a fault event.
 #[test]
 fn exactly_once_disposition_under_saturation_grid() {
     let reg = registry_with(&[("tenant-a", 1), ("tenant-b", 2)]);
     let names = vec!["tenant-a".to_string(), "tenant-b".to_string()];
+    let mut faulted_cells_with_events = [0u32; 2];
     for &rate in &[20_000.0f64, 80_000.0, 160_000.0] {
         for &arrival in &[Arrival::Poisson, Arrival::Burst] {
             for (plan_seed, group_size) in [None, Some(131u64)]
@@ -80,13 +84,14 @@ fn exactly_once_disposition_under_saturation_grid() {
                     timeout_ns: None,
                 };
                 let trace = poisson_trace(&reg, &names, &workload);
+                let span_ns = trace.iter().map(|r| r.arrival_ns).max().unwrap_or(0);
                 let cfg = ServeConfig {
                     devices: 2,
                     group_size,
                     queue_capacity: 16,
                     checkpoint_interval: 2,
                     faults: plan_seed
-                        .map(|s| FaultPlan::seeded(s, 2, 10_000_000))
+                        .map(|s| FaultPlan::seeded(s, 2, span_ns))
                         .unwrap_or_default(),
                     qos: QosConfig::standard(),
                     ..ServeConfig::default()
@@ -97,11 +102,17 @@ fn exactly_once_disposition_under_saturation_grid() {
                 );
                 let a = Service::new(&reg, cfg.clone()).run(&trace);
                 assert_exactly_once(&trace, &a, &label);
+                if plan_seed.is_some() && !a.fault_events.is_empty() {
+                    faulted_cells_with_events[group_size - 1] += 1;
+                }
                 let b = Service::new(&reg, cfg).run(&trace);
                 let json = |r: &ServeReport| serde_json::to_string(r).expect("serializes");
                 assert_eq!(json(&a), json(&b), "{label}: reruns must be byte-identical");
             }
         }
+    }
+    for (i, &n) in faulted_cells_with_events.iter().enumerate() {
+        assert!(n > 0, "group_size={}: the fault axis fired no fault", i + 1);
     }
 }
 

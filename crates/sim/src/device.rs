@@ -45,6 +45,47 @@ use eta_mem::timeline::{Span, SpanKind, Timeline};
 use eta_mem::Ns;
 use eta_prof::{ArgValue, Profile, Track};
 
+/// The five stages of [`Device::launch`]'s record/replay pipeline, in
+/// execution order (see [`eta_mem::access`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaunchStage {
+    Record,
+    Coalesce,
+    Residency,
+    L1,
+    L2,
+}
+
+impl LaunchStage {
+    pub const ALL: [LaunchStage; 5] = [
+        LaunchStage::Record,
+        LaunchStage::Coalesce,
+        LaunchStage::Residency,
+        LaunchStage::L1,
+        LaunchStage::L2,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            LaunchStage::Record => "record",
+            LaunchStage::Coalesce => "coalesce",
+            LaunchStage::Residency => "residency",
+            LaunchStage::L1 => "l1",
+            LaunchStage::L2 => "l2",
+        }
+    }
+}
+
+/// Observer of launch-stage boundaries: [`Device::launch`] calls `begin`
+/// before stage 1 and `end(stage)` as each stage finishes. The simulator
+/// never reads anything back, so a sink cannot change a simulated byte;
+/// host timing lives in `eta_bench::hosttime`, the one module allowed to
+/// read the host clock.
+pub trait StageSink: Send {
+    fn begin(&mut self);
+    fn end(&mut self, stage: LaunchStage);
+}
+
 /// The simulated GPU.
 pub struct Device {
     pub cfg: GpuConfig,
@@ -62,6 +103,8 @@ pub struct Device {
     /// block-major execution order. The serial residency and L2 stages walk
     /// this to replay shared state exactly as the inline path did.
     order: Vec<u32>,
+    /// Launch-stage observer; none by default.
+    stage_sink: Option<Box<dyn StageSink>>,
 }
 
 /// Outcome of one kernel launch.
@@ -105,7 +148,19 @@ impl Device {
             sanitizer,
             queues: (0..cfg.num_sms).map(|_| SmQueue::default()).collect(),
             order: Vec::new(),
+            stage_sink: None,
         })
+    }
+
+    /// Installs (or with `None` removes) the launch-stage observer.
+    pub fn set_stage_sink(&mut self, sink: Option<Box<dyn StageSink>>) {
+        self.stage_sink = sink;
+    }
+
+    fn stage_end(&mut self, stage: LaunchStage) {
+        if let Some(sink) = self.stage_sink.as_mut() {
+            sink.end(stage);
+        }
     }
 
     /// The sanitizer's findings so far; `None` when no sanitizer is attached.
@@ -211,6 +266,9 @@ impl Device {
             san.begin_launch(kernel.name());
         }
         let zc_mark = self.mem.zero_copy_bytes;
+        if let Some(sink) = self.stage_sink.as_mut() {
+            sink.begin();
+        }
 
         // ---- Stage 1: record (serial, canonical block-major order) ------
         // Warps execute functionally — real loads, stores, atomics, all
@@ -254,11 +312,13 @@ impl Device {
         if let Some(san) = self.sanitizer.as_mut() {
             san.end_launch();
         }
+        self.stage_end(LaunchStage::Record);
 
         let host_threads = self.cfg.host_threads;
 
         // ---- Stage 2: coalesce (parallel per SM) ------------------------
         eta_par::for_each_mut_threads(host_threads, &mut self.queues, |_, q| q.coalesce());
+        self.stage_end(LaunchStage::Coalesce);
 
         // ---- Stage 3: residency + zero-copy classification (serial) -----
         // UM migrations, PCIe spans, adaptive-policy evolution and fault
@@ -276,6 +336,7 @@ impl Device {
                 metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
             }
         }
+        self.stage_end(LaunchStage::Residency);
 
         // ---- Stage 4: L1 drain (parallel per SM) ------------------------
         // Each SM's L1 is private and flushed per launch, so its probe
@@ -292,6 +353,7 @@ impl Device {
                 eta_mem::access::drain_l1(q, l1, &params);
             });
         }
+        self.stage_end(LaunchStage::L1);
 
         // ---- Stage 5: shared L2/DRAM drain (serial, canonical order) ----
         {
@@ -345,6 +407,7 @@ impl Device {
                 }
             }
         }
+        self.stage_end(LaunchStage::L2);
 
         // Merge the per-SM stage results in SM-index order.
         for (smi, q) in self.queues.iter().enumerate() {
@@ -575,6 +638,39 @@ mod tests {
         assert!(r.end_ns > 0);
         let out = dev.mem.host_read(output, 0, n as u64);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 * 2));
+    }
+
+    /// Logs every boundary into a shared list.
+    struct StageLog(std::sync::Arc<std::sync::Mutex<Vec<Option<LaunchStage>>>>);
+
+    impl StageSink for StageLog {
+        fn begin(&mut self) {
+            self.0.lock().unwrap().push(None);
+        }
+        fn end(&mut self, stage: LaunchStage) {
+            self.0.lock().unwrap().push(Some(stage));
+        }
+    }
+
+    #[test]
+    fn stage_sink_sees_every_boundary_and_changes_nothing() {
+        let n = 4096u32;
+        let run = |sink: Option<Box<dyn StageSink>>| {
+            let mut dev = Device::new(GpuConfig::default_preset());
+            dev.set_stage_sink(sink);
+            let input = dev.mem.alloc_explicit(n as u64).unwrap();
+            let output = dev.mem.alloc_explicit(n as u64).unwrap();
+            let k = DoubleKernel { input, output, n };
+            let r = dev.launch(&k, grid(n, 256), 0);
+            dev.launch(&k, grid(0, 256), r.end_ns); // empty: no stages
+            (r.end_ns, r.metrics.cycles, r.metrics.l2_requests)
+        };
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        assert_eq!(run(Some(Box::new(StageLog(log.clone())))), run(None));
+        let expected: Vec<_> = std::iter::once(None)
+            .chain(LaunchStage::ALL.map(Some))
+            .collect();
+        assert_eq!(*log.lock().unwrap(), expected);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod sanitizer;
 pub mod warp;
 
 pub use config::{ConfigError, GpuConfig, WARP_SIZE};
-pub use device::{Device, LaunchResult};
+pub use device::{Device, LaunchResult, LaunchStage, StageSink};
 pub use kernel::{Kernel, LaunchConfig};
 pub use metrics::KernelMetrics;
 pub use sanitizer::{

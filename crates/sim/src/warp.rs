@@ -22,9 +22,9 @@
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::metrics::KernelMetrics;
 use crate::sanitizer::{AccessKind, Sanitizer};
-use eta_mem::access::{PipeOp, SmQueue};
+use eta_mem::access::{PipeOp, SmQueue, NO_SECTOR};
 use eta_mem::cache::Cache;
-use eta_mem::coalesce::sectors_for_warp;
+use eta_mem::coalesce::{sector_of_word, sectors_for_warp};
 use eta_mem::system::{DSlice, MemSystem, RegionKind};
 use eta_mem::Ns;
 
@@ -95,7 +95,6 @@ pub struct WarpCtx<'a> {
     dram_write_transactions: u64,
     data_ready_ns: Ns,
     sector_scratch: Vec<u64>,
-    addr_scratch: [u64; WARP_SIZE],
     /// Sanitizer sink; `None` unless the device was built with one attached.
     san: Option<&'a mut Sanitizer>,
 }
@@ -193,7 +192,6 @@ impl<'a> WarpCtx<'a> {
             dram_write_transactions: 0,
             data_ready_ns: start_ns,
             sector_scratch: Vec::with_capacity(WARP_SIZE),
-            addr_scratch: [0; WARP_SIZE],
             san,
         }
     }
@@ -287,71 +285,50 @@ impl<'a> WarpCtx<'a> {
             None => mask,
         };
         self.count_lanes(mask.count_ones());
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                self.addr_scratch[lane] = s.addr(idx[lane] as u64);
-            } else {
-                // Parked at the first active address so it never adds sectors.
-                self.addr_scratch[lane] = 0;
+        if let Route::Record { sm, queue, order } = &mut self.route {
+            // Record mode appends sector-deduplicated word addresses to the
+            // SM's queue; stage 2 of the pipeline turns them into sorted
+            // sectors later, off the serial critical path.
+            let addr_start = queue.addrs.len();
+            let mut last = NO_SECTOR;
+            for lane in lanes(mask) {
+                queue.push_word(s.addr(idx[lane] as u64), &mut last);
             }
-        }
-        // Re-park inactive lanes on an active lane's address (address 0 may
-        // belong to a different region/page).
-        if mask != 0 && mask != FULL_MASK {
-            let first_active = mask.trailing_zeros() as usize;
-            let park = self.addr_scratch[first_active];
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 0 {
-                    self.addr_scratch[lane] = park;
-                }
+            if let Some(san) = self.san.as_deref_mut() {
+                // The deduplicated words cover the same sectors as all lanes.
+                sectors_for_warp(
+                    &queue.addrs[addr_start..],
+                    FULL_MASK,
+                    &mut self.sector_scratch,
+                );
+                let sectors = self.sector_scratch.len() as u64;
+                san.global_access(self.id, op.kind(), s, idx, mask, sectors, self.mem);
             }
-        }
-        // The sanitizer reports per-access transaction counts and the
-        // direct path probes the sectors; record mode without a sanitizer
-        // skips the sort entirely — stage 2 of the pipeline coalesces later,
-        // off the serial critical path.
-        if self.san.is_some() || matches!(self.route, Route::Direct { .. }) {
-            sectors_for_warp(&self.addr_scratch, mask, &mut self.sector_scratch);
-        }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.global_access(
-                self.id,
-                op.kind(),
-                s,
-                idx,
-                mask,
-                self.sector_scratch.len() as u64,
-                self.mem,
-            );
-        }
-        // No active lane coalesces to no sectors: nothing to probe or record.
-        if mask == 0 {
-            return (mask, 0);
-        }
-        if matches!(self.route, Route::Record { .. }) {
+            // No active lane coalesces to no sectors: nothing to record.
             // Loads charge their worst sector latency once it is known (the
             // L1/L2 drain stages); stores and atomics charge constant costs
             // at the call sites below, so their records charge nothing.
-            self.record_access(s, op, burst, matches!(op, AccessOp::Load), mask);
+            if mask != 0 {
+                let charge = matches!(op, AccessOp::Load);
+                queue.commit(s.region, op.pipe(), burst, charge, addr_start);
+                order.push(*sm);
+            }
+            return (mask, 0);
+        }
+        let mut addrs = [0u64; WARP_SIZE];
+        for lane in lanes(mask) {
+            addrs[lane] = s.addr(idx[lane] as u64);
+        }
+        sectors_for_warp(&addrs, mask, &mut self.sector_scratch);
+        if let Some(san) = self.san.as_deref_mut() {
+            let sectors = self.sector_scratch.len() as u64;
+            san.global_access(self.id, op.kind(), s, idx, mask, sectors, self.mem);
+        }
+        if mask == 0 {
             return (mask, 0);
         }
         let worst = self.probe_scratch_sectors(s, op, burst);
         (mask, worst)
-    }
-
-    /// Appends the active lanes' word addresses (already in `addr_scratch`)
-    /// as one access record in the owning SM's queue.
-    fn record_access(&mut self, s: DSlice, op: AccessOp, burst: bool, charge: bool, mask: u32) {
-        if let Route::Record { sm, queue, order } = &mut self.route {
-            let addr_start = queue.addrs.len();
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 {
-                    queue.addrs.push(self.addr_scratch[lane]);
-                }
-            }
-            queue.commit(s.region, op.pipe(), burst, charge, addr_start);
-            order.push(*sm);
-        }
     }
 
     /// Runs the UM/cache pipeline over the sectors currently in
@@ -480,11 +457,7 @@ impl<'a> WarpCtx<'a> {
             }
             None => mask,
         };
-        let rows = (0..WARP_SIZE)
-            .filter(|&l| (mask >> l) & 1 == 1)
-            .map(|l| count[l])
-            .max()
-            .unwrap_or(0);
+        let rows = lanes(mask).map(|l| count[l]).max().unwrap_or(0);
         let mut out = vec![[0u32; WARP_SIZE]; rows as usize];
         let mut group_start = 0u32;
         let mut first_group = true;
@@ -493,53 +466,54 @@ impl<'a> WarpCtx<'a> {
             // One vectorized instruction: coalesce every active (lane, row)
             // address in the group together.
             self.instructions += 1;
-            let active = (0..WARP_SIZE)
-                .filter(|&l| (mask >> l) & 1 == 1 && count[l] > group_start)
-                .count() as u32;
+            let active = lanes(mask).filter(|&l| count[l] > group_start).count() as u32;
             self.count_lanes(active);
-            // Record mode keeps raw word addresses (stage 2 coalesces them
-            // later); the direct path pushes sector IDs as before.
-            let record = matches!(self.route, Route::Record { .. });
-            self.sector_scratch.clear();
-            let mut any = false;
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 != 1 {
-                    continue;
+            let any = if let Route::Record { sm, queue, order } = &mut self.route {
+                // Record mode keeps sector-deduplicated word addresses
+                // (stage 2 coalesces them later).
+                let addr_start = queue.addrs.len();
+                let mut last = NO_SECTOR;
+                for lane in lanes(mask) {
+                    for r in group_start..group_end.min(count[lane]) {
+                        let addr = s.addr((start[lane] + r) as u64);
+                        queue.push_word(addr, &mut last);
+                        out[r as usize][lane] = self.mem.word(addr);
+                    }
                 }
-                for r in group_start..group_end.min(count[lane]) {
-                    let addr = s.addr((start[lane] + r) as u64);
-                    self.sector_scratch
-                        .push(if record { addr } else { addr / 8 });
-                    out[r as usize][lane] = self.mem.word(addr);
-                    any = true;
-                }
-            }
-            if any {
-                if record {
+                let any = queue.addrs.len() > addr_start;
+                if any {
                     // The first non-empty group charges its worst sector
-                    // latency once the drain stages know it; later groups
-                    // pay the pipelined issue cost right here.
-                    if let Route::Record { sm, queue, order } = &mut self.route {
-                        let addr_start = queue.addrs.len();
-                        queue.addrs.extend_from_slice(&self.sector_scratch);
-                        queue.commit(s.region, PipeOp::Load, true, first_group, addr_start);
-                        order.push(*sm);
+                    // latency once the drain stages know it.
+                    queue.commit(s.region, PipeOp::Load, true, first_group, addr_start);
+                    order.push(*sm);
+                }
+                any
+            } else {
+                self.sector_scratch.clear();
+                for lane in lanes(mask) {
+                    for r in group_start..group_end.min(count[lane]) {
+                        let addr = s.addr((start[lane] + r) as u64);
+                        self.sector_scratch.push(sector_of_word(addr));
+                        out[r as usize][lane] = self.mem.word(addr);
                     }
-                    if first_group {
-                        first_group = false;
-                    } else {
-                        self.stall += self.cfg.burst_issue;
-                    }
-                } else {
-                    self.sector_scratch.sort_unstable();
-                    self.sector_scratch.dedup();
+                }
+                self.sector_scratch.sort_unstable();
+                self.sector_scratch.dedup();
+                let any = !self.sector_scratch.is_empty();
+                if any {
                     let worst = self.probe_scratch_sectors(s, AccessOp::Load, true);
                     if first_group {
                         self.stall += worst;
-                        first_group = false;
-                    } else {
-                        self.stall += self.cfg.burst_issue;
                     }
+                }
+                any
+            };
+            // Later non-empty groups pay the pipelined issue cost.
+            if any {
+                if first_group {
+                    first_group = false;
+                } else {
+                    self.stall += self.cfg.burst_issue;
                 }
             }
             group_start = group_end;
@@ -700,18 +674,48 @@ impl<'a> WarpCtx<'a> {
     }
 }
 
+/// The active lanes of `mask`, ascending.
+#[inline]
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// Shared-memory bank-conflict replays for one warp access: shared memory
 /// has 32 word-wide banks (`word % 32`); lanes addressing *different* words
 /// in the same bank serialize, while lanes reading the same word broadcast.
 /// Returns `Σ_banks (distinct words in bank − 1)` over active lanes.
+///
+/// When the active lanes' words strictly increase (the SMP slot layout)
+/// they are all distinct, so the sum is active lanes − busy banks; any
+/// other pattern falls back to [`bank_conflicts_sorted`].
 fn bank_conflicts(idx: &Lanes, mask: u32) -> u64 {
+    let mut busy = 0u32;
+    let mut next_min = 0u64;
+    for lane in lanes(mask) {
+        let word = u64::from(idx[lane]);
+        if word < next_min {
+            return bank_conflicts_sorted(idx, mask);
+        }
+        next_min = word + 1;
+        busy |= 1 << (word % 32);
+    }
+    u64::from(mask.count_ones() - busy.count_ones())
+}
+
+/// [`bank_conflicts`] for any lane pattern: sorts the active lanes'
+/// `(bank, word)` pairs and counts distinct words per bank.
+fn bank_conflicts_sorted(idx: &Lanes, mask: u32) -> u64 {
     let mut pairs = [(0u32, 0u32); WARP_SIZE];
     let mut n = 0usize;
-    for lane in 0..WARP_SIZE {
-        if (mask >> lane) & 1 == 1 {
-            pairs[n] = (idx[lane] % 32, idx[lane]);
-            n += 1;
-        }
+    for lane in lanes(mask) {
+        pairs[n] = (idx[lane] % 32, idx[lane]);
+        n += 1;
     }
     let pairs = &mut pairs[..n];
     pairs.sort_unstable();
@@ -762,6 +766,7 @@ impl AccessOp {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+    use eta_fault::SplitMix64;
     use eta_mem::pcie::PcieLink;
 
     struct Rig {
@@ -830,6 +835,142 @@ mod tests {
         // different words — one replay.
         assert_eq!(bank_conflicts(&stride, 0b11), 1);
         assert_eq!(bank_conflicts(&stride, 0), 0);
+    }
+
+    /// `(lane indices, mask)` pairs below `range`: strided (SMP slot
+    /// layouts among them), broadcast, descending, and seeded random
+    /// indices, each under a full, a sparse and an empty mask.
+    fn lane_patterns(range: u32) -> Vec<(Lanes, u32)> {
+        let mut rng = SplitMix64(11);
+        let mut idx_sets: Vec<Lanes> = Vec::new();
+        for stride in [0u32, 1, 2, 3, 4, 8, 16, 31, 32, 33, 64] {
+            idx_sets.push(std::array::from_fn(|l| (l as u32 * stride) % range));
+        }
+        idx_sets.push(std::array::from_fn(|l| (31 - l as u32) * 5));
+        for _ in 0..300 {
+            let spread = 1 + (rng.next_u64() % u64::from(range)) as u32;
+            let mut idx: Lanes = std::array::from_fn(|_| (rng.next_u64() as u32) % spread);
+            if rng.next_u64().is_multiple_of(2) {
+                idx.sort_unstable(); // ascending, with repeats
+            }
+            idx_sets.push(idx);
+        }
+        let mut out = Vec::new();
+        for idx in idx_sets {
+            let sparse = rng.next_u64() as u32 & rng.next_u64() as u32;
+            for mask in [FULL_MASK, sparse, 1 << (rng.next_u64() % 32), 0] {
+                out.push((idx, mask));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn bank_conflicts_match_the_sort_on_every_lane_pattern() {
+        for (idx, mask) in lane_patterns(4096) {
+            assert_eq!(
+                bank_conflicts(&idx, mask),
+                bank_conflicts_sorted(&idx, mask),
+                "idx {idx:?} mask {mask:#x}"
+            );
+        }
+    }
+
+    /// Runs `f` on a recording warp (with a lint sanitizer) and returns the
+    /// queue after stage 2 plus the sanitizer's sector total.
+    fn record_with(f: impl Fn(&mut WarpCtx<'_>, DSlice)) -> (SmQueue, u64) {
+        let mut rig = Rig::new();
+        let a = rig.mem.alloc_explicit(8192).unwrap();
+        let mut queue = SmQueue::default();
+        let mut order = Vec::new();
+        let mut san = Sanitizer::new(crate::SanitizerMode::Lint);
+        san.begin_launch("probe");
+        let mut w = WarpCtx::new_recording(
+            &rig.cfg,
+            &mut rig.mem,
+            0,
+            &mut queue,
+            &mut order,
+            &mut rig.shared,
+            rig_id(),
+            1,
+            1,
+            0,
+            Some(&mut san),
+        );
+        f(&mut w, a);
+        drop(w);
+        assert_eq!(order.len(), queue.recs.len());
+        queue.coalesce();
+        (queue, san.report().kernels[0].sectors)
+    }
+
+    fn rig_id() -> WarpId {
+        WarpId {
+            block: 0,
+            warp_in_block: 0,
+            threads_per_block: 256,
+            grid_blocks: 1,
+        }
+    }
+
+    #[test]
+    fn recorded_accesses_coalesce_like_the_direct_path() {
+        for (idx, mask) in lane_patterns(8192) {
+            // Direct path: the sectors it probes, via the full lane sort.
+            let mut rig = Rig::new();
+            let a = rig.mem.alloc_explicit(8192).unwrap();
+            let mut w = rig.warp(1);
+            w.load(a, &idx, mask);
+            let direct = w.sector_scratch.clone();
+            drop(w);
+            let (queue, san_sectors) = record_with(|w, a| {
+                w.load(a, &idx, mask);
+            });
+            assert_eq!(san_sectors, direct.len() as u64, "sanitizer sector count");
+            if mask == 0 {
+                assert!(queue.recs.is_empty());
+                continue;
+            }
+            let rec = queue.recs[0];
+            assert!(rec.addr_len <= mask.count_ones() as usize);
+            assert_eq!(
+                &queue.sectors[rec.sec_start..rec.sec_start + rec.sec_len],
+                &direct[..],
+                "idx {idx:?} mask {mask:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn recorded_bursts_coalesce_like_the_direct_path() {
+        let mut rng = SplitMix64(5);
+        for _ in 0..200 {
+            let start: Lanes = std::array::from_fn(|_| (rng.next_u64() % 8000) as u32);
+            let count: Lanes = std::array::from_fn(|_| (rng.next_u64() % 12) as u32);
+            let mask = rng.next_u64() as u32 | rng.next_u64() as u32;
+            let mut rig = Rig::new();
+            let a = rig.mem.alloc_explicit(8192).unwrap();
+            let mut w = rig.warp(1);
+            let direct_rows = w.load_burst(a, &start, &count, mask);
+            let (direct_instr, _) = w.finish(&mut KernelMetrics::default());
+            let direct_sectors = rig.l1.stats().accesses();
+            let (queue, _) = record_with(|w, a| {
+                assert_eq!(w.load_burst(a, &start, &count, mask), direct_rows);
+                assert_eq!(w.instructions, direct_instr);
+            });
+            assert_eq!(queue.sectors.len() as u64, direct_sectors);
+            assert!(queue.recs.iter().skip(1).all(|r| !r.charge));
+        }
+    }
+
+    #[test]
+    fn a_coalesced_warp_records_one_word_per_sector() {
+        let (queue, san_sectors) = record_with(|w, a| {
+            w.load(a, &iota(), FULL_MASK);
+        });
+        assert_eq!(queue.addrs, [0, 8, 16, 24].map(|i| queue.addrs[0] + i));
+        assert_eq!((queue.sectors.len(), san_sectors), (4, 4));
     }
 
     #[test]
